@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarketModel
-from .numerics import DEFAULT_QUADRATURE, Quadrature, gauss_density, integrate_levy
-from .pricing import _positive_part_integral, bayes_posterior, _binary_from_ratio
+from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
+                       gauss_density, integrate_levy, positive_part_integral)
+from .pricing import _binary_from_ratio, bayes_posterior
 
 _WEIGHT_TOL = 1e-10
 _RAY_TOL = 1e-9
@@ -42,15 +43,19 @@ class DefaultQuote:
             raise ValueError("joint posterior weights must sum to 1")
 
 
-def _ray_tolerance(model: MarketModel, t: float) -> float:
-    return _RAY_TOL * max(1.0, abs(model.sigma) * t)
+def on_payoff_ray(model: MarketModel, t: float, x, h):
+    """Whether the observation x sits on the ray sigma*t*h of payoff h, elementwise.
+
+    That is where the default-time information process stays from default on.
+    """
+    return np.abs(np.asarray(x) - model.sigma * t * np.asarray(h)) <= _RAY_TOL * max(1.0, abs(model.sigma) * t)
 
 
 def _match_atom(model: MarketModel, t: float, x: float) -> int | None:
     """Index of the payoff atom whose ray sigma*t*h passes through x, if any."""
-    rays = model.sigma * t * model.payoff.support
-    i = int(np.argmin(np.abs(rays - x)))
-    return i if abs(rays[i] - x) <= _ray_tolerance(model, t) else None
+    support = model.payoff.support
+    i = int(np.argmin(np.abs(model.sigma * t * support - x)))
+    return i if on_payoff_ray(model, t, x, support[i]) else None
 
 
 def default_indicator(model: MarketModel, t: float, x: float) -> bool:
@@ -65,15 +70,19 @@ def default_indicator(model: MarketModel, t: float, x: float) -> bool:
     return _match_atom(model, t, x) is not None
 
 
-def _bridge_levy_density(model: MarketModel, t: float, x: float, r: float, h: float,
-                         q: Quadrature) -> float:
-    """Density at x of signal + bridge of length r + reversed Levy drift, given tau = r > t."""
+def _bridge_levy_density(model: MarketModel, t: float, x, r: float, h: float, q: Quadrature):
+    """Density at x of signal + bridge of length r + reversed Levy drift, given tau = r > t.
+
+    x may be an array of observations; the result then has its shape.
+    """
     v = t * (r - t) / r
-    shift = x - model.sigma * t * h
-    mu = model.levy_drift_scale
-    if mu == 0.0:
-        return float(gauss_density(v, shift))
-    return integrate_levy(lambda y: gauss_density(v, shift - mu * t * y), model.levy, r - t, q)
+    shift = np.asarray(x, dtype=float)[..., None] - model.sigma * t * h
+    k = model.levy_drift_scale * t
+    if k == 0.0:
+        dens = gauss_density(v, shift[..., 0])
+        return float(dens) if dens.ndim == 0 else dens
+    return integrate_levy(lambda y: gauss_density(v, shift - k * y), model.levy, r - t, q,
+                          points=shift / k + (np.sqrt(v) / abs(k)) * GAUSS_BREAKS)
 
 
 def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: float,
@@ -99,10 +108,16 @@ def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: floa
     return _bridge_levy_density(model, t, x, r, h, q)
 
 
-def survival_kernel(model: MarketModel, t: float, x: float, h: float,
-                    q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """Integral of the bridge-plus-Levy density over default times in (t, T]."""
+def survival_kernel(model: MarketModel, t: float, x, h: float,
+                    q: Quadrature = DEFAULT_QUADRATURE):
+    """Integral of the bridge-plus-Levy density over default times in (t, T].
+
+    x may be an array of observations; under a continuous default-time law
+    each element is its own quadrature over the default time.
+    """
     law = _require_default_law(model)
+    if not law.is_discrete and np.ndim(x):
+        return np.reshape([survival_kernel(model, t, xi, h, q) for xi in np.ravel(x)], np.shape(x))
     return law.integrate(lambda r: _bridge_levy_density(model, t, x, r, h, q),
                          t, model.maturity, rel_tol=q.rel_tol, abs_tol=q.abs_tol)
 
@@ -161,14 +176,18 @@ def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature,
         return tuple((r, h, w / total) for r, h, w in cells)
     kernels = [survival_kernel(model, t, x, float(h), q) for h in support]
     weights = bayes_posterior(kernels, model.payoff.probs)
-    return tuple((None, float(h), float(w)) for h, w in zip(support, weights))
+    return tuple((None, float(h), w) for h, w in zip(support, weights.tolist() if weights.ndim == 1 else weights))
 
 
-def survival_posterior_mean(model: MarketModel, t: float, x: float,
-                            q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """Posterior mean of the payoff on the survival branch (x off the rays)."""
+def survival_posterior_mean(model: MarketModel, t: float, x,
+                            q: Quadrature = DEFAULT_QUADRATURE):
+    """Posterior mean of the payoff on the survival branch (x off the rays).
+
+    x may be an array of observations; the result then has its shape.
+    """
     rows = _joint_rows(model, t, x, q, False, None)
-    return float(sum(h * w for _, h, w in rows))
+    mean = sum(h * w for _, h, w in rows)
+    return float(mean) if np.ndim(mean) == 0 else mean
 
 
 def bond_price_default(model: MarketModel, t: float, x: float,
@@ -235,7 +254,7 @@ def option_value_default(model: MarketModel, t: float, strike: float,
     drift_span = model.levy_drift_scale * t * model.levy.tail_quantile(T - t)
     lo = float(signals.min() + min(0.0, drift_span) - 12.0 * sd)
     hi = float(signals.max() + max(0.0, drift_span) + 12.0 * sd)
-    survival = _positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
+    survival = positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
     return p_0t * (revealed + survival)
 
 

@@ -14,6 +14,12 @@ DEGENERATE = "none"
 
 _PAYOFF_MASS_TOL = 1e-12
 _TAU_MASS_TOL = 1e-10
+# quadpack error bounds are conservative; request tighter than we enforce
+REQUEST_MARGIN = 0.25
+
+
+class QuadratureError(RuntimeError):
+    """Raised when an integral cannot be resolved to the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,7 @@ class DefaultTimeLaw:
     pdf: Callable[[float], float] | None = None
     cdf_fn: Callable[[float], float] | None = field(default=None, repr=False)
     ppf_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    jumps: tuple = ()  # where the density jumps; break points for quadrature
 
     def __post_init__(self):
         if self.horizon <= 0.0:
@@ -210,7 +217,7 @@ class DefaultTimeLaw:
         def ppf(u):
             return lo + np.asarray(u) * width
 
-        return cls(horizon, pdf=pdf, cdf_fn=cdf, ppf_fn=ppf)
+        return cls(horizon, pdf=pdf, cdf_fn=cdf, ppf_fn=ppf, jumps=(lo, hi))
 
     @classmethod
     def from_density(cls, pdf: Callable[[float], float], horizon: float) -> "DefaultTimeLaw":
@@ -234,15 +241,26 @@ class DefaultTimeLaw:
         return float(np.clip(val, 0.0, 1.0))
 
     def integrate(self, f: Callable[[float], float], lo: float, hi: float,
-                  rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> float:
-        """Integral of f(r) against P_tau(dr) over the interval (lo, hi]."""
+                  rel_tol: float = 1e-10, abs_tol: float = 1e-13):
+        """Integral of f(r) against P_tau(dr) over the interval (lo, hi].
+
+        Atoms sum f's values, which may be arrays.  A density is integrated by
+        adaptive quadrature at a quarter of the tolerance; QuadratureError is
+        raised when the error estimate exceeds rel_tol * |value| + abs_tol.
+        """
         if hi <= lo:
             return 0.0
         if self.is_discrete:
             sel = (self.atom_times > lo) & (self.atom_times <= hi)
-            return float(sum(w * f(r) for r, w in zip(self.atom_times[sel], self.atom_weights[sel])))
-        val, _ = integrate.quad(lambda r: f(r) * self.pdf(r), lo, min(hi, self.horizon),
-                                epsabs=abs_tol, epsrel=rel_tol, limit=300)
+            total = sum(w * f(r) for r, w in zip(self.atom_times[sel], self.atom_weights[sel]))
+            return float(total) if np.ndim(total) == 0 else total
+        top = min(hi, self.horizon)
+        points = [b for b in self.jumps if lo < b < top] or None
+        val, err = integrate.quad(lambda r: f(r) * self.pdf(r), lo, top, points=points,
+                                  epsabs=REQUEST_MARGIN * abs_tol, epsrel=REQUEST_MARGIN * rel_tol, limit=300)
+        if err > rel_tol * abs(val) + abs_tol:
+            raise QuadratureError(f"default-time integral error estimate {err:.3e} exceeds tolerance "
+                                  f"(value {val:.6e})")
         return float(val)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

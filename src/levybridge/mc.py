@@ -239,15 +239,18 @@ def _survival_price_spline(model: MarketModel, t: float, xs: np.ndarray, is_kapp
     pad = 1e-6 * max(1.0, hi - lo)
     nodes = np.linspace(lo - pad, hi + pad, 601)
     if is_kappa:
-        means = [default_pricing.survival_posterior_mean(model, t, float(v)) for v in nodes]
+        means = default_pricing.survival_posterior_mean(model, t, nodes)
     else:
-        means = [pricing.posterior_mean(model, t, float(v)) for v in nodes]
+        means = pricing.posterior_mean(model, t, nodes)
     return CubicSpline(nodes, means)
 
 
-def tower_check(model: MarketModel, t: float, n_paths: int, seed: int,
-                grid_steps: int = 40, name: str | None = None) -> McReport:
-    """E[posterior mean of the payoff] must equal the prior mean."""
+def _observed_bond_means(model: MarketModel, t: float, n_paths: int, seed: int, grid_steps: int) -> np.ndarray:
+    """Undiscounted bond value at the sampled observations of time t.
+
+    Defaulted paths read their payoff off the ray; the others take the
+    spline of the posterior mean.
+    """
     grid = _eta_grid(model, t, grid_steps)
     idx = grid.index_of(t)
     is_kappa = model.default_law is not None
@@ -256,9 +259,7 @@ def tower_check(model: MarketModel, t: float, n_paths: int, seed: int,
         if is_kappa:
             vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch)
             x = vals[:, idx]
-            defaulted = np.isclose(x, model.sigma * t * h, rtol=0.0,
-                                   atol=default_pricing._ray_tolerance(model, t))
-            return x, defaulted
+            return x, default_pricing.on_payoff_ray(model, t, x, h)
         vals, _ = sample_eta_batch(model, grid, seed, size, batch)
         return vals[:, idx], np.zeros(size, dtype=bool)
 
@@ -266,7 +267,13 @@ def tower_check(model: MarketModel, t: float, n_paths: int, seed: int,
     xs = np.concatenate([p[0] for p in parts])
     defaulted = np.concatenate([p[1] for p in parts])
     spline = _survival_price_spline(model, t, xs[~defaulted], is_kappa)
-    means = np.where(defaulted, xs / (model.sigma * t), spline(xs))
+    return np.where(defaulted, xs / (model.sigma * t), spline(xs))
+
+
+def tower_check(model: MarketModel, t: float, n_paths: int, seed: int,
+                grid_steps: int = 40, name: str | None = None) -> McReport:
+    """E[posterior mean of the payoff] must equal the prior mean."""
+    means = _observed_bond_means(model, t, n_paths, seed, grid_steps)
     est = means.mean()
     se = means.std(ddof=1) / np.sqrt(means.size)
     return _make_report(name or f"tower[t={t:g}]", est, se, means.size, model.payoff.mean())
@@ -275,28 +282,8 @@ def tower_check(model: MarketModel, t: float, n_paths: int, seed: int,
 def option_mc(model: MarketModel, t: float, strike: float, n_paths: int, seed: int,
               target: float, grid_steps: int = 40, name: str = "option") -> McReport:
     """Plain Monte Carlo of the discounted option payoff vs the quadrature value."""
-    grid = _eta_grid(model, t, grid_steps)
-    idx = grid.index_of(t)
-    is_kappa = model.default_law is not None
-    p_tT = model.discount(t)
-    p_0t = model.discount(0.0, t)
-
-    def one(batch, size):
-        if is_kappa:
-            vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch)
-            x = vals[:, idx]
-            defaulted = np.isclose(x, model.sigma * t * h, rtol=0.0,
-                                   atol=default_pricing._ray_tolerance(model, t))
-            return x, defaulted
-        vals, _ = sample_eta_batch(model, grid, seed, size, batch)
-        return vals[:, idx], np.zeros(size, dtype=bool)
-
-    parts = _map_batches(one, n_paths)
-    xs = np.concatenate([p[0] for p in parts])
-    defaulted = np.concatenate([p[1] for p in parts])
-    spline = _survival_price_spline(model, t, xs[~defaulted], is_kappa)
-    bond = p_tT * np.where(defaulted, xs / (model.sigma * t), spline(xs))
-    payoff = p_0t * np.maximum(bond - strike, 0.0)
+    bond = model.discount(t) * _observed_bond_means(model, t, n_paths, seed, grid_steps)
+    payoff = model.discount(0.0, t) * np.maximum(bond - strike, 0.0)
     est = payoff.mean()
     se = payoff.std(ddof=1) / np.sqrt(payoff.size)
     return _make_report(name, est, se, payoff.size, target)

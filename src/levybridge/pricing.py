@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import gammaln
 
 from .model import MarketModel
-from .numerics import (DEFAULT_QUADRATURE, Quadrature, gauss_density,
-                       integrate_levy, parabolic_cylinder_log_D)
+from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
+                       gauss_density, integrate_levy,
+                       parabolic_cylinder_log_D, positive_part_integral)
 
 _WEIGHT_TOL = 1e-10
 _PRICE_SLACK = 1e-9
@@ -44,10 +44,14 @@ class PriceQuote:
 
 
 def bayes_posterior(likelihoods, priors) -> np.ndarray:
-    """Normalized weights proportional to likelihood * prior."""
-    w = np.asarray(likelihoods, dtype=float) * np.asarray(priors, dtype=float)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    """Normalized weights proportional to likelihood * prior, atoms on the first axis.
+
+    Trailing axes of the likelihoods run over observations.
+    """
+    likes = np.asarray(likelihoods, dtype=float)
+    w = likes * np.asarray(priors, dtype=float).reshape((-1,) + (1,) * (likes.ndim - 1))
+    total = w.sum(axis=0)
+    if not np.all(np.isfinite(total) & (total > 0.0)):
         raise ArithmeticError("posterior mass vanished: observation too deep in the tails")
     return w / total
 
@@ -57,33 +61,41 @@ def discount(model: MarketModel, t: float) -> float:
     return model.discount(t)
 
 
-def likelihood_q(model: MarketModel, t: float, h: float, x: float,
-                 q: Quadrature = DEFAULT_QUADRATURE) -> float:
+def likelihood_q(model: MarketModel, t: float, h: float, x,
+                 q: Quadrature = DEFAULT_QUADRATURE):
     """Density of the information value x at time t given payoff h.
 
     Gaussian bridge density of variance t(T-t)/T centred at sigma*t*h plus
     the scaled noise value (t/T) y, mixed over the reversed Levy marginal.
+    x may be an array of observations; the result then has its shape.
     """
     T = model.maturity
     if not 0.0 < t < T:
         raise ValueError("need 0 < t < T")
     v = t * (T - t) / T
-    shift = x - model.sigma * t * h
+    shift = np.asarray(x, dtype=float)[..., None] - model.sigma * t * h
     scale = t / T
-    return integrate_levy(lambda y: gauss_density(v, shift - scale * y), model.levy, T - t, q)
+    return integrate_levy(lambda y: gauss_density(v, shift - scale * y), model.levy, T - t, q,
+                          points=shift / scale + (np.sqrt(v) / scale) * GAUSS_BREAKS)
+
+
+def _posterior_weights(model: MarketModel, t: float, x, q: Quadrature) -> np.ndarray:
+    likes = [likelihood_q(model, t, h, x, q) for h in model.payoff.support]
+    return bayes_posterior(likes, model.payoff.probs)
 
 
 def posterior_payoff(model: MarketModel, t: float, x: float,
                      q: Quadrature = DEFAULT_QUADRATURE) -> list[tuple[float, float]]:
     """Posterior distribution of the payoff given one observation of the signal."""
-    likes = [likelihood_q(model, t, h, x, q) for h in model.payoff.support]
-    weights = bayes_posterior(likes, model.payoff.probs)
+    weights = _posterior_weights(model, t, x, q)
     return list(zip(model.payoff.support.tolist(), weights.tolist()))
 
 
-def posterior_mean(model: MarketModel, t: float, x: float,
-                   q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    return float(sum(h * w for h, w in posterior_payoff(model, t, x, q)))
+def posterior_mean(model: MarketModel, t: float, x,
+                   q: Quadrature = DEFAULT_QUADRATURE):
+    """Posterior mean of the payoff; x may be an array of observations."""
+    mean = np.tensordot(model.payoff.support, _posterior_weights(model, t, x, q), axes=1)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def bond_price(model: MarketModel, t: float, x: float,
@@ -182,12 +194,16 @@ def poisson_closed_form_price(model: MarketModel, t: float, x: float,
         z = x - sig * t * h
         log_b = -T * z * z / (2.0 * t * (T - t))
         total = 0.0
+        prev = 0.0
         i = 0
         small = 0
         while small < 4:
             term = np.exp(z * i / (T - t) - quad_coef * i * i + i * np.log(m) - gammaln(i + 1.0))
             total += term
-            small = small + 1 if (i > m and term < series_tol * total) else 0
+            # the summand is log-concave in i, so once a term falls below its
+            # predecessor the peak is behind and the terms only shrink
+            small = small + 1 if (term < prev and term < series_tol * total) else 0
+            prev = term
             i += 1
             if i > 100_000:
                 raise ArithmeticError("payoff series did not converge")
@@ -216,24 +232,6 @@ def x_bracket(model: MarketModel, t: float, width: float = _BRACKET_WIDTH) -> tu
     return lo, hi
 
 
-def _positive_part_integral(g, lo: float, hi: float, abs_tol: float, rel_tol: float) -> float:
-    """Integral of max(g, 0) with kink locations found by scan plus root polish."""
-    from .numerics import QuadratureError
-
-    xs = np.linspace(lo, hi, 201)
-    vals = np.array([g(x) for x in xs])
-    kinks = []
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if fa == 0.0 or fa * fb >= 0.0:
-            continue
-        kinks.append(float(optimize.brentq(g, a, b)))
-    val, err = integrate.quad(lambda x: max(g(x), 0.0), lo, hi, points=kinks or None,
-                              epsabs=0.25 * abs_tol, epsrel=0.25 * rel_tol, limit=500)
-    if err > rel_tol * abs(val) + abs_tol:
-        raise QuadratureError(f"option integral error estimate {err:.3e} exceeds tolerance")
-    return float(val)
-
-
 def option_value(model: MarketModel, t: float, strike: float,
                  q: Quadrature = DEFAULT_QUADRATURE,
                  outer_abs_tol: float = 1e-10, outer_rel_tol: float = 1e-8) -> float:
@@ -256,7 +254,7 @@ def option_value(model: MarketModel, t: float, strike: float,
                    for h, p in zip(support, probs))
 
     lo, hi = x_bracket(model, t)
-    val = _positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
+    val = positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
     return model.discount(0.0, t) * val
 
 
@@ -288,15 +286,25 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
         return (gauss_density(bridge_var, y - (u / T) * y2, shrink * (x - mean_t))
                 * gauss_density(vt, x, mean_t))
 
+    def inner_points(d1, c1, d2, c2):
+        # core is a product of Gaussians in the inner variable z, exp(-(d_i + c_i z)^2 / 2 V_i)
+        prec = c1 * c1 / bridge_var + c2 * c2 / vt
+        centre = -(c1 * d1 / bridge_var + c2 * d2 / vt) / prec
+        return centre[..., None] + GAUSS_BREAKS / np.sqrt(prec)
+
     inner_q = q.scaled(0.9)
     outer_q = q.scaled(0.1)
+    k = t / T
     if s_inc <= s_end:
         def outer_f(y2):
-            return integrate_levy(lambda y1: core(y1, y2), law, s_inc, inner_q)
+            pts = inner_points(y - (u / T) * y2 - shrink * x + shrink * k * y2, shrink * k, x - k * y2, -k)
+            return integrate_levy(lambda y1: core(y1, y2[..., None]), law, s_inc, inner_q, points=pts)
         num = integrate_levy(outer_f, law, s_end, outer_q)
     else:
         def outer_f(y1):
-            return integrate_levy(lambda y2: core(y1, y2), law, s_end, inner_q)
+            pts = inner_points(y - shrink * x + shrink * k * y1, shrink * k - u / T, x - k * y1, -k)
+            return integrate_levy(lambda y2: core(y1[..., None], y2), law, s_end, inner_q, points=pts)
         num = integrate_levy(outer_f, law, s_inc, outer_q)
-    den = integrate_levy(lambda w: gauss_density(vt, x, (t / T) * w), law, T - t, q)
+    den = integrate_levy(lambda w: gauss_density(vt, x, k * w), law, T - t, q,
+                         points=x / k + (np.sqrt(vt) / k) * GAUSS_BREAKS)
     return num / den

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
+from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution, QuadratureError
 from levybridge.sampling import rng_for
 
 
@@ -92,3 +92,18 @@ def test_default_law_generic_density_sampling():
     law = DefaultTimeLaw.from_density(lambda r: 2.0 * r, 1.0)  # triangular on (0, 1]
     taus = law.sample(rng_for(4), 50_000)
     assert abs(taus.mean() - 2.0 / 3.0) < 4 * taus.std() / np.sqrt(taus.size)
+
+
+def test_default_law_integral_raises_when_tolerance_unreachable():
+    law = DefaultTimeLaw.exponential_conditioned(0.5, 1.0)
+    with pytest.warns(Warning):  # quad's own report, on top of the raise
+        with pytest.raises(QuadratureError):
+            law.integrate(lambda r: np.sin(1.0 / (r - 0.5)), 0.5, 1.0)
+
+
+def test_default_law_integral_over_uniform_jumps():
+    law = DefaultTimeLaw.uniform(0.3, 0.7, horizon=1.0)
+    assert law.jumps == (0.3, 0.7)
+    assert law.integrate(lambda r: r, 0.0, 1.0, rel_tol=1e-13, abs_tol=1e-15) == pytest.approx(0.5, rel=1e-13)
+    atoms = DefaultTimeLaw.atoms([0.2, 0.6], [0.5, 0.5])
+    np.testing.assert_array_equal(atoms.integrate(lambda r: r * np.arange(3.0), 0.0, 1.0), [0.0, 0.4, 0.8])

@@ -75,7 +75,7 @@ def test_histogram_wide_window_recovers_marginal():
 
     def marginal(y):
         vu = u * (T - u) / T
-        return integrate_levy(lambda w: float(gauss_density(vu, y, (u / T) * w)), GAMMA, T - u)
+        return integrate_levy(lambda w: gauss_density(vu, y, (u / T) * w), GAMMA, T - u)
 
     reports = conditional_histogram(b, 0.3, u, 0.0, 100.0, 20, 400_000, 11,
                                     marginal, (-2.5, 3.5))

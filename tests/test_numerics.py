@@ -7,7 +7,7 @@ from levybridge.laws import LevyLaw
 from levybridge.numerics import (Quadrature, QuadratureError, gamma_density,
                                  gauss_density, integrate_levy,
                                  parabolic_cylinder_D, poisson_pmf,
-                                 power_gauss_integral)
+                                 positive_part_integral, power_gauss_integral)
 
 GAMMA = LevyLaw.standard_gamma()
 POIS = LevyLaw.poisson(1.0)
@@ -118,3 +118,28 @@ def test_poisson_series_tail_rule():
     lam20 = LevyLaw.poisson(20.0)
     val = integrate_levy(lambda n: n * n, lam20, 1.0)
     assert val == pytest.approx(20.0 + 400.0, rel=1e-8)
+
+
+def test_integrate_levy_unreachable_tolerance_raises():
+    q = Quadrature(abs_tol=1e-300, rel_tol=1e-18, max_subdivisions=40)
+    for law in (GAMMA, POIS):
+        with pytest.raises(QuadratureError):
+            integrate_levy(lambda y: np.exp(-y), law, 0.5, q)
+
+
+@pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
+def test_integrate_levy_one_integral_per_element(law):
+    centres = np.array([[-1.0, 0.5], [2.0, 7.5]])
+    vals = integrate_levy(lambda y: gauss_density(0.3, centres[..., None], y), law, 0.7,
+                          points=centres[..., None] + np.array([-3.0, 0.0, 3.0]))
+    assert vals.shape == centres.shape
+    for c, v in zip(centres.ravel(), vals.ravel()):
+        single = integrate_levy(lambda y: gauss_density(0.3, c, y), law, 0.7, points=c + np.array([-3.0, 0.0, 3.0]))
+        assert isinstance(single, float)
+        assert v == pytest.approx(single, rel=1e-15)
+
+
+def test_positive_part_integral():
+    val = positive_part_integral(lambda x: np.sin(x), 0.0, 3.0 * np.pi, 1e-12, 1e-10)
+    assert val == pytest.approx(4.0, rel=1e-10)
+    assert positive_part_integral(lambda x: 0.0 * x - 1.0, -1.0, 1.0, 1e-12, 1e-10) == 0.0

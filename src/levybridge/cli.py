@@ -13,9 +13,7 @@ from .grids import TimeGrid
 from .laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from .model import MarketModel, RateCurve, model_from_json
 from .numerics import QuadratureError, gamma_density, poisson_pmf
-from .sampling import (brownian_batch, bridge_values, bar_beta_values,
-                       sample_eta_batch, sample_kappa_batch,
-                       sample_zeta_batch, tilde_beta_values)
+from .sampling import PROCESS_SAMPLERS
 
 
 def _fmt(v) -> str:
@@ -66,25 +64,8 @@ def _cmd_simulate(args) -> int:
     grid = TimeGrid.uniform(args.T, args.steps)
     n = args.paths
     seed = args.seed
-    process = args.process
-    if process == "brownian":
-        vals = brownian_batch(grid, seed, n, key=(0, 0))
-    elif process == "bridge":
-        vals = bridge_values(grid, brownian_batch(grid, seed, n, key=(0, 0)))
-    elif process == "bar-beta":
-        vals = bar_beta_values(grid, brownian_batch(grid, seed, n, key=(0, 0)),
-                               brownian_batch(grid, seed, n, key=(0, 1)))
-    elif process == "tilde-beta":
-        vals = tilde_beta_values(grid, brownian_batch(grid, seed, n, key=(0, 0)),
-                                 brownian_batch(grid, seed, n, key=(0, 1)))
-    elif process == "zeta":
-        vals = sample_zeta_batch(grid, _levy_from_args(args), seed, n)
-    elif process == "eta":
-        vals, _ = sample_eta_batch(_load_model(args), grid, seed, n)
-    elif process == "kappa":
-        vals, _, _, _ = sample_kappa_batch(_load_model(args), grid, seed, n)
-    else:
-        raise ValueError(f"unknown process {process!r}")
+    source = _load_model(args) if args.process in ("eta", "kappa") else _levy_from_args(args)
+    vals = PROCESS_SAMPLERS[args.process](grid, source, seed, n, 0)
     header = ["t"] + [f"path_{i}" for i in range(n)]
     rows = ([float(t)] + [float(v) for v in vals[:, k]] for k, t in enumerate(grid.points))
     _write_csv(args.output, _config_of(args), header, rows)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarketModel
-from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
-                       gauss_density, integrate_levy, positive_part_integral)
-from .pricing import _binary_from_ratio, bayes_posterior
+from .numerics import DEFAULT_QUADRATURE, Quadrature
+from .pricing import (bayes_posterior, binary_from_ratio, bridge_levy_density,
+                      option_integral)
 
 _WEIGHT_TOL = 1e-10
 _RAY_TOL = 1e-9
@@ -38,8 +38,8 @@ class DefaultQuote:
     posterior_joint: tuple
 
     def __post_init__(self):
-        total = sum(w for _, _, w in self.posterior_joint)
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        weights = np.array([w for _, _, w in self.posterior_joint])
+        if not np.all(np.isfinite(weights)) or abs(weights.sum() - 1.0) > _WEIGHT_TOL:
             raise ValueError("joint posterior weights must sum to 1")
 
 
@@ -70,21 +70,6 @@ def default_indicator(model: MarketModel, t: float, x: float) -> bool:
     return _match_atom(model, t, x) is not None
 
 
-def _bridge_levy_density(model: MarketModel, t: float, x, r: float, h: float, q: Quadrature):
-    """Density at x of signal + bridge of length r + reversed Levy drift, given tau = r > t.
-
-    x may be an array of observations; the result then has its shape.
-    """
-    v = t * (r - t) / r
-    shift = np.asarray(x, dtype=float)[..., None] - model.sigma * t * h
-    k = model.levy_drift_scale * t
-    if k == 0.0:
-        dens = gauss_density(v, shift[..., 0])
-        return float(dens) if dens.ndim == 0 else dens
-    return integrate_levy(lambda y: gauss_density(v, shift - k * y), model.levy, r - t, q,
-                          points=shift / k + (np.sqrt(v) / abs(k)) * GAUSS_BREAKS)
-
-
 def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: float,
                        q: Quadrature = DEFAULT_QUADRATURE) -> float:
     """Observation likelihood against the reference measure dx + sum of payoff atoms.
@@ -105,7 +90,7 @@ def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: floa
         return 1.0 if match else 0.0
     if any(x == h_i for h_i in support):
         return 0.0
-    return _bridge_levy_density(model, t, x, r, h, q)
+    return bridge_levy_density(model, t, x, r, h, model.levy_drift_scale * t, q)
 
 
 def survival_kernel(model: MarketModel, t: float, x, h: float,
@@ -118,7 +103,8 @@ def survival_kernel(model: MarketModel, t: float, x, h: float,
     law = _require_default_law(model)
     if not law.is_discrete and np.ndim(x):
         return np.reshape([survival_kernel(model, t, xi, h, q) for xi in np.ravel(x)], np.shape(x))
-    return law.integrate(lambda r: _bridge_levy_density(model, t, x, r, h, q),
+    k = model.levy_drift_scale * t
+    return law.integrate(lambda r: bridge_levy_density(model, t, x, r, h, k, q),
                          t, model.maturity, rel_tol=q.rel_tol, abs_tol=q.abs_tol)
 
 
@@ -141,10 +127,11 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
             raise ArithmeticError("observation lies on a ray but P(tau <= t) = 0")
         h_i = float(model.payoff.support[i])
         return law.integrate(lambda r: g(r, h_i), 0.0, t) / cdf_t
+    k = model.levy_drift_scale * t
     num = 0.0
     den = 0.0
     for h, p in zip(model.payoff.support, model.payoff.probs):
-        num += p * law.integrate(lambda r: g(r, float(h)) * _bridge_levy_density(model, t, x, r, float(h), q),
+        num += p * law.integrate(lambda r: g(r, float(h)) * bridge_levy_density(model, t, x, r, float(h), k, q),
                                  t, T, rel_tol=q.rel_tol, abs_tol=q.abs_tol)
         den += p * survival_kernel(model, t, x, float(h), q)
     if den <= 0.0 or not np.isfinite(den):
@@ -160,23 +147,21 @@ def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature,
     if defaulted:
         h_i = float(support[atom_index])
         if law.is_discrete:
-            cdf_t = law.cdf(t)
             sel = law.atom_times <= t
-            return tuple((float(r), h_i, float(w / cdf_t))
-                         for r, w in zip(law.atom_times[sel], law.atom_weights[sel]))
+            weights = bayes_posterior(np.ones(np.count_nonzero(sel)), law.atom_weights[sel])
+            return tuple((float(r), h_i, w) for r, w in zip(law.atom_times[sel], weights.tolist()))
         return ((None, h_i, 1.0),)
     if law.is_discrete:
-        cells = []
-        for h, p in zip(support, model.payoff.probs):
-            for r, w in zip(law.atom_times, law.atom_weights):
-                if r > t:
-                    cells.append((float(r), float(h),
-                                  p * w * _bridge_levy_density(model, t, x, float(r), float(h), q)))
-        total = sum(c[2] for c in cells)
-        return tuple((r, h, w / total) for r, h, w in cells)
-    kernels = [survival_kernel(model, t, x, float(h), q) for h in support]
-    weights = bayes_posterior(kernels, model.payoff.probs)
-    return tuple((None, float(h), w) for h, w in zip(support, weights.tolist() if weights.ndim == 1 else weights))
+        cells = [(float(r), float(h), p * w) for h, p in zip(support, model.payoff.probs)
+                 for r, w in zip(law.atom_times, law.atom_weights) if r > t]
+    else:
+        cells = [(None, float(h), p) for h, p in zip(support, model.payoff.probs)]
+    k = model.levy_drift_scale * t
+    likes = [survival_kernel(model, t, x, h, q) if r is None
+             else bridge_levy_density(model, t, x, r, h, k, q) for r, h, _ in cells]
+    weights = bayes_posterior(likes, [prior for _, _, prior in cells])
+    weights = weights.tolist() if weights.ndim == 1 else weights
+    return tuple((r, h, w) for (r, h, _), w in zip(cells, weights))
 
 
 def survival_posterior_mean(model: MarketModel, t: float, x,
@@ -222,7 +207,7 @@ def binary_bond_price_default(model: MarketModel, t: float, x: float,
     h0, h1 = model.payoff.support
     ratio = (survival_kernel(model, t, x, float(h1), q)
              / survival_kernel(model, t, x, float(h0), q))
-    return _binary_from_ratio(model, t, ratio)
+    return binary_from_ratio(model, t, ratio)
 
 
 def option_value_default(model: MarketModel, t: float, strike: float,
@@ -234,28 +219,12 @@ def option_value_default(model: MarketModel, t: float, strike: float,
     an x-integral of the positive part of the strike-adjusted survival kernels.
     """
     law = _require_default_law(model)
-    T = model.maturity
-    if not 0.0 < t < T:
-        raise ValueError("need 0 < t < T")
-    if strike < 0.0:
-        raise ValueError("strike must be nonnegative")
+    survival = option_integral(model, t, strike, lambda h, x: survival_kernel(model, t, x, float(h), q),
+                               model.levy_drift_scale * t, outer_abs_tol, outer_rel_tol)
     p_tT = model.discount(t)
-    p_0t = model.discount(0.0, t)
-    support = model.payoff.support
-    probs = model.payoff.probs
-    revealed = law.cdf(t) * sum(max(p_tT * h - strike, 0.0) * p for h, p in zip(support, probs))
-
-    def g(x):
-        return sum((p_tT * h - strike) * survival_kernel(model, t, x, float(h), q) * p
-                   for h, p in zip(support, probs))
-
-    sd = np.sqrt(t * (T - t) / T)
-    signals = model.sigma * t * support
-    drift_span = model.levy_drift_scale * t * model.levy.tail_quantile(T - t)
-    lo = float(signals.min() + min(0.0, drift_span) - 12.0 * sd)
-    hi = float(signals.max() + max(0.0, drift_span) + 12.0 * sd)
-    survival = positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
-    return p_0t * (revealed + survival)
+    revealed = law.cdf(t) * sum(max(p_tT * h - strike, 0.0) * p
+                                for h, p in zip(model.payoff.support, model.payoff.probs))
+    return model.discount(0.0, t) * (revealed + survival)
 
 
 def _require_default_law(model: MarketModel):

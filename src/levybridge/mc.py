@@ -19,10 +19,7 @@ from . import default_pricing, pricing
 from .grids import TimeGrid
 from .laws import LevyLaw
 from .model import MarketModel
-from .sampling import (bar_beta_values, bridge_values, brownian_batch,
-                       levy_batch, reverse_values, sample_eta_batch,
-                       sample_kappa_batch, sample_zeta_batch,
-                       tilde_beta_values)
+from .sampling import PROCESS_SAMPLERS, sample_eta_batch, sample_kappa_batch
 
 PASS_SIGMAS = 4.0
 BATCH_SIZE = 65_536
@@ -77,30 +74,30 @@ def _map_batches(fn, n_paths: int):
 # -- process builders -----------------------------------------------------------
 
 def grid_builder(process: str, T: float, steps: int, levy: LevyLaw | None = None):
-    """Sampler closure (seed, n, batch, times) -> values at the requested grid times."""
+    """Sampler closure (seed, n, batch, times) -> values at the requested grid times.
+
+    process names a sampling.PROCESS_SAMPLERS entry; levy is its source.
+    """
+    if process not in PROCESS_SAMPLERS:
+        raise ValueError(f"unknown process {process!r}")
+    sample = PROCESS_SAMPLERS[process]
     grid = TimeGrid.uniform(T, steps)
 
     def build(seed, n, batch, times):
         idx = [grid.index_of(ti) for ti in times]
-        if process == "brownian":
-            vals = brownian_batch(grid, seed, n, key=(batch, 0))
-        elif process == "bridge":
-            vals = bridge_values(grid, brownian_batch(grid, seed, n, key=(batch, 0)))
-        elif process == "bar":
-            vals = bar_beta_values(grid, brownian_batch(grid, seed, n, key=(batch, 0)),
-                                   brownian_batch(grid, seed, n, key=(batch, 1)))
-        elif process == "tilde":
-            vals = tilde_beta_values(grid, brownian_batch(grid, seed, n, key=(batch, 0)),
-                                     brownian_batch(grid, seed, n, key=(batch, 1)))
-        elif process == "zeta":
-            vals = sample_zeta_batch(grid, levy, seed, n, batch)
-        elif process == "levy-reversed":
-            vals = reverse_values(grid, levy_batch(levy, grid, seed, n, key=(batch, 1)))
-        else:
-            raise ValueError(f"unknown process {process!r}")
-        return vals[:, idx]
+        return sample(grid, levy, seed, n, batch)[:, idx]
 
     return build
+
+
+def _moment_report(parts, target, name) -> McReport:
+    """Mean of the per-batch (sum v, sum v^2, count) parts, with its standard error."""
+    s1 = sum(p[0] for p in parts)
+    s2 = sum(p[1] for p in parts)
+    n = sum(p[2] for p in parts)
+    est = s1 / n
+    var = max(s2 / n - est * est, 0.0) * n / (n - 1)
+    return _make_report(name, est, np.sqrt(var / n), n, target)
 
 
 def empirical_cov(builder, s: float, t: float, n_paths: int, seed: int, target: float,
@@ -112,13 +109,7 @@ def empirical_cov(builder, s: float, t: float, n_paths: int, seed: int, target: 
         prod = (vals[:, 0] - means[0]) * (vals[:, 1] - means[1])
         return prod.sum(), (prod * prod).sum(), prod.size
 
-    parts = _map_batches(one, n_paths)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    est = s1 / n
-    var = max(s2 / n - est * est, 0.0) * n / (n - 1)
-    return _make_report(name, est, np.sqrt(var / n), n, target)
+    return _moment_report(_map_batches(one, n_paths), target, name)
 
 
 def empirical_mean(builder, t: float, n_paths: int, seed: int, target: float,
@@ -131,13 +122,7 @@ def empirical_mean(builder, t: float, n_paths: int, seed: int, target: float,
             vals = transform(vals)
         return vals.sum(), (vals * vals).sum(), vals.size
 
-    parts = _map_batches(one, n_paths)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    est = s1 / n
-    var = max(s2 / n - est * est, 0.0) * n / (n - 1)
-    return _make_report(name, est, np.sqrt(var / n), n, target)
+    return _moment_report(_map_batches(one, n_paths), target, name)
 
 
 # -- transition density ----------------------------------------------------------
@@ -313,13 +298,13 @@ def run_suite(seed: int, suite: str = "full") -> list[McReport]:
     reports.append(empirical_cov(w, 0.3, 0.7, n, seed, 0.3, name="brownian cov[0.3,0.7]"))
     br = grid_builder("bridge", T, steps)
     reports.append(empirical_cov(br, 0.5, 0.5, n, seed, 0.25, name="bridge var[0.5]"))
-    bar = grid_builder("bar", T, steps)
+    bar = grid_builder("bar-beta", T, steps)
     reports.append(empirical_cov(bar, 0.5, 0.5, n, seed, gaussian.cov_bar(0.5, 0.5, T), name="bar var[0.5]"))
     reports.append(empirical_cov(bar, 0.25, 0.75, n, seed, gaussian.cov_bar(0.25, 0.75, T),
                                  name="bar cov[0.25,0.75]"))
     reports.append(empirical_mean(bar, 0.5, n, seed, np.sqrt(2.0 * gaussian.cov_bar(0.5, 0.5, T) / np.pi),
                                   transform=np.abs, name="bar abs-mean[0.5]"))
-    til = grid_builder("tilde", T, steps)
+    til = grid_builder("tilde-beta", T, steps)
     reports.append(empirical_cov(til, 0.5, 0.5, n, seed, gaussian.cov_tilde(0.5, 0.5, T), name="tilde var[0.5]"))
     reports.append(empirical_cov(til, 0.25, 0.75, n, seed, gaussian.cov_tilde(0.25, 0.75, T),
                                  name="tilde cov[0.25,0.75]"))

@@ -423,32 +423,15 @@ def positive_part_integral(g: Callable, lo: float, hi: float, abs_tol: float, re
 
 def power_gauss_integral(nu: float, beta: float, alpha: float,
                          q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """Integral over (0, inf) of y^(nu-1) exp(-beta y^2 - alpha y) dy, for nu, beta > 0."""
+    """Integral over (0, inf) of y^(nu-1) exp(-beta y^2 - alpha y) dy, for nu, beta > 0.
+
+    Equals (2 beta)^(-nu/2) Gamma(nu) exp(z^2 / 4) D_{-nu}(z), z = alpha / sqrt(2 beta).
+    """
     if nu <= 0.0 or beta <= 0.0:
         raise ValueError("need nu > 0 and beta > 0")
-
-    def bulk(y):
-        return np.exp(-beta * y * y - alpha * y)
-
-    ea = REQUEST_MARGIN * q.abs_tol
-    er = REQUEST_MARGIN * q.rel_tol
-    head, e1 = integrate.quad(bulk, 0.0, 1.0, weight="alg", wvar=(nu - 1.0, 0.0),
-                              epsabs=ea, epsrel=er, limit=q.max_subdivisions)
-
-    def tail_f(y):
-        return np.exp((nu - 1.0) * np.log(y) - beta * y * y - alpha * y)
-
-    # put the interior maximum (present when alpha < 0) inside a finite panel
-    peak = max(1.0, -alpha / (2.0 * beta)) if alpha < 0.0 else 1.0
-    mid, e2 = integrate.quad(tail_f, 1.0, 4.0 * peak + 10.0,
-                             epsabs=ea, epsrel=er, limit=q.max_subdivisions)
-    far, e3 = integrate.quad(tail_f, 4.0 * peak + 10.0, np.inf,
-                             epsabs=ea, epsrel=er, limit=q.max_subdivisions)
-    val = head + mid + far
-    err = e1 + e2 + e3
-    if err > q.rel_tol * abs(val) + q.abs_tol:
-        raise QuadratureError(f"power-Gauss integral error {err:.3e} exceeds tolerance")
-    return float(val)
+    z = alpha / np.sqrt(2.0 * beta)
+    return float(np.exp(parabolic_cylinder_log_D(-nu, z, q) + z * z / 4.0 + gammaln(nu)
+                        - 0.5 * nu * np.log(2.0 * beta)))
 
 
 def parabolic_cylinder_D(order: float, z: float,
@@ -472,9 +455,35 @@ def parabolic_cylinder_D(order: float, z: float,
 
 def parabolic_cylinder_log_D(order: float, z: float,
                              q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """log D_order(z) for order < 0; avoids under/overflow for large |z|."""
+    """log D_order(z) for order < 0; avoids under/overflow for large |z|.
+
+    Quadrature of the integral identity (see parabolic_cylinder_D) with the
+    integrand scaled by exp(-s), s = max(0, -z)^2 / 2 the peak of -y^2/2 - z y
+    at y = -z, which becomes a break point; log of the integral = s + log(scaled).
+    """
     if order >= 0.0:
         raise ValueError("log form needs order < 0")
     nu = -order
-    integral = power_gauss_integral(nu, 0.5, z, q)
-    return float(-z * z / 4.0 - gammaln(nu) + np.log(integral))
+    peak = max(0.0, -z)
+    shift = 0.5 * peak * peak
+
+    def bulk(y):
+        return np.exp(-0.5 * y * y - z * y - shift)
+
+    ea = REQUEST_MARGIN * q.abs_tol
+    er = REQUEST_MARGIN * q.rel_tol
+    head, e1 = integrate.quad(bulk, 0.0, 1.0, weight="alg", wvar=(nu - 1.0, 0.0),
+                              epsabs=ea, epsrel=er, limit=q.max_subdivisions)
+
+    def tail_f(y):
+        return np.exp((nu - 1.0) * np.log(y) - 0.5 * y * y - z * y - shift)
+
+    # put the interior maximum inside a finite panel, as a break point of it
+    top = 4.0 * max(1.0, peak) + 10.0
+    mid, e2 = integrate.quad(tail_f, 1.0, top, points=[peak] if peak > 1.0 else None,
+                             epsabs=ea, epsrel=er, limit=q.max_subdivisions)
+    far, e3 = integrate.quad(tail_f, top, np.inf, epsabs=ea, epsrel=er, limit=q.max_subdivisions)
+    val = head + mid + far
+    if e1 + e2 + e3 > q.rel_tol * abs(val) + q.abs_tol:
+        raise QuadratureError(f"power-Gauss integral error {e1 + e2 + e3:.3e} exceeds tolerance")
+    return float(-z * z / 4.0 - gammaln(nu) + shift + np.log(val))

@@ -36,7 +36,8 @@ class PriceQuote:
 
     def __post_init__(self):
         weights = np.array([w for _, w in self.posterior])
-        if np.any(weights < -_WEIGHT_TOL) or abs(weights.sum() - 1.0) > _WEIGHT_TOL:
+        if (not np.all(np.isfinite(weights)) or np.any(weights < -_WEIGHT_TOL)
+                or abs(weights.sum() - 1.0) > _WEIGHT_TOL):
             raise ValueError("posterior weights must be a probability vector")
 
     def posterior_mean(self) -> float:
@@ -61,6 +62,25 @@ def discount(model: MarketModel, t: float) -> float:
     return model.discount(t)
 
 
+def bridge_levy_density(model: MarketModel, t: float, x, r: float, h: float, k: float,
+                        q: Quadrature):
+    """Density at x of sigma*t*h + a bridge of length r at time t + k * X_{r-t}.
+
+    The Gaussian bridge has variance t(r-t)/r; X_{r-t} is the reversed Levy
+    marginal of the model's noise law.  This is the one likelihood kernel of
+    both models: the maturity model is r = T, k = t/T, and the default-time
+    model is r = tau, k = mu*t.  x may be an array of observations; the
+    result then has its shape.
+    """
+    v = t * (r - t) / r
+    shift = np.asarray(x, dtype=float)[..., None] - model.sigma * t * h
+    if k == 0.0:
+        dens = gauss_density(v, shift[..., 0])
+        return float(dens) if dens.ndim == 0 else dens
+    return integrate_levy(lambda y: gauss_density(v, shift - k * y), model.levy, r - t, q,
+                          points=shift / k + (np.sqrt(v) / abs(k)) * GAUSS_BREAKS)
+
+
 def likelihood_q(model: MarketModel, t: float, h: float, x,
                  q: Quadrature = DEFAULT_QUADRATURE):
     """Density of the information value x at time t given payoff h.
@@ -72,11 +92,7 @@ def likelihood_q(model: MarketModel, t: float, h: float, x,
     T = model.maturity
     if not 0.0 < t < T:
         raise ValueError("need 0 < t < T")
-    v = t * (T - t) / T
-    shift = np.asarray(x, dtype=float)[..., None] - model.sigma * t * h
-    scale = t / T
-    return integrate_levy(lambda y: gauss_density(v, shift - scale * y), model.levy, T - t, q,
-                          points=shift / scale + (np.sqrt(v) / scale) * GAUSS_BREAKS)
+    return bridge_levy_density(model, t, x, T, h, t / T, q)
 
 
 def _posterior_weights(model: MarketModel, t: float, x, q: Quadrature) -> np.ndarray:
@@ -131,7 +147,7 @@ def _check_price_bounds(model: MarketModel, t: float, price: float) -> None:
         raise ArithmeticError(f"price {price} escaped the convex hull [{lo}, {hi}]")
 
 
-def _binary_from_ratio(model: MarketModel, t: float, ratio_10: float) -> float:
+def binary_from_ratio(model: MarketModel, t: float, ratio_10: float) -> float:
     """Price from the likelihood ratio q(h1)/q(h0), as in the two-atom formula."""
     h0, h1 = model.payoff.support
     p1 = float(model.payoff.probs[1])
@@ -146,7 +162,7 @@ def binary_bond_price(model: MarketModel, t: float, x: float,
     _require_binary(model)
     h0, h1 = model.payoff.support
     ratio = likelihood_q(model, t, h1, x, q) / likelihood_q(model, t, h0, x, q)
-    return _binary_from_ratio(model, t, ratio)
+    return binary_from_ratio(model, t, ratio)
 
 
 def gamma_closed_form_price(model: MarketModel, t: float, x: float,
@@ -174,7 +190,7 @@ def gamma_closed_form_price(model: MarketModel, t: float, x: float,
 
     h0, h1 = model.payoff.support
     ratio = np.exp(log_ab(h1) - log_ab(h0))
-    return _binary_from_ratio(model, t, ratio)
+    return binary_from_ratio(model, t, ratio)
 
 
 def poisson_closed_form_price(model: MarketModel, t: float, x: float,
@@ -211,7 +227,7 @@ def poisson_closed_form_price(model: MarketModel, t: float, x: float,
 
     h0, h1 = model.payoff.support
     ratio = np.exp(log_ab(h1) - log_ab(h0))
-    return _binary_from_ratio(model, t, ratio)
+    return binary_from_ratio(model, t, ratio)
 
 
 def _require_binary(model: MarketModel) -> None:
@@ -221,15 +237,41 @@ def _require_binary(model: MarketModel) -> None:
 
 # -- option valuation -----------------------------------------------------------
 
-def x_bracket(model: MarketModel, t: float, width: float = _BRACKET_WIDTH) -> tuple[float, float]:
-    """Interval outside which the information value carries < 1e-12 mass."""
+def x_bracket(model: MarketModel, t: float, k: float) -> tuple[float, float]:
+    """Interval outside which sigma*t*h + bridge + k * X_{T-t} carries < 1e-12 mass.
+
+    k is the Levy coefficient of bridge_levy_density: t/T in the maturity
+    model, mu*t in the default-time model, whose shorter bridges only narrow
+    the interval.
+    """
     T = model.maturity
     sd = np.sqrt(t * (T - t) / T)
     signals = model.sigma * t * model.payoff.support
-    y_hi = model.levy.tail_quantile(T - t)
-    lo = float(signals.min() - width * sd)
-    hi = float(signals.max() + (t / T) * y_hi + width * sd)
+    span = k * model.levy.tail_quantile(T - t)
+    lo = float(signals.min() + min(0.0, span) - _BRACKET_WIDTH * sd)
+    hi = float(signals.max() + max(0.0, span) + _BRACKET_WIDTH * sd)
     return lo, hi
+
+
+def option_integral(model: MarketModel, t: float, strike: float, kernel, k: float,
+                    outer_abs_tol: float, outer_rel_tol: float) -> float:
+    """Integral over x of the positive part of sum_h p_h (P_t^T h - K) kernel(h, x).
+
+    kernel(h, x) is the likelihood of the observations x given payoff h,
+    with Levy coefficient k (see x_bracket).  Both option routes share it.
+    """
+    if not 0.0 < t < model.maturity:
+        raise ValueError("need 0 < t < T")
+    if strike < 0.0:
+        raise ValueError("strike must be nonnegative")
+    p_tT = model.discount(t)
+
+    def g(x):
+        return sum((p_tT * h - strike) * kernel(h, x) * p
+                   for h, p in zip(model.payoff.support, model.payoff.probs))
+
+    lo, hi = x_bracket(model, t, k)
+    return positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
 
 
 def option_value(model: MarketModel, t: float, strike: float,
@@ -240,21 +282,8 @@ def option_value(model: MarketModel, t: float, strike: float,
     Discounted positive part of the strike-adjusted likelihood mixture,
     integrated over every value the information process can take at t.
     """
-    T = model.maturity
-    if not 0.0 < t < T:
-        raise ValueError("need 0 < t < T")
-    if strike < 0.0:
-        raise ValueError("strike must be nonnegative")
-    p_tT = model.discount(t)
-    support = model.payoff.support
-    probs = model.payoff.probs
-
-    def g(x):
-        return sum((p_tT * h - strike) * likelihood_q(model, t, h, x, q) * p
-                   for h, p in zip(support, probs))
-
-    lo, hi = x_bracket(model, t)
-    val = positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
+    val = option_integral(model, t, strike, lambda h, x: likelihood_q(model, t, h, x, q),
+                          t / model.maturity, outer_abs_tol, outer_rel_tol)
     return model.discount(0.0, t) * val
 
 
@@ -267,9 +296,9 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
     The numerator integrates, over the Levy increment y1 on (T-u, T-t] and the
     terminal-piece value y2 at T-u, the Gaussian bridge transition from
     x - (t/T)(y1+y2) to y - (u/T) y2 times the density of the time-t value;
-    the denominator is the unconditional density of x.  The inner quadrature
-    variable is the one with the smaller law time; the tolerance budget is
-    split 90/10 between inner and outer.
+    the denominator is the unconditional density of x, bridge_levy_density
+    at h = 0.  The inner quadrature variable is the one with the smaller law
+    time; the tolerance budget is split 90/10 between inner and outer.
     """
     T = model.maturity
     if not 0.0 < t < u < T:
@@ -305,6 +334,4 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
             pts = inner_points(y - shrink * x + shrink * k * y1, shrink * k - u / T, x - k * y1, -k)
             return integrate_levy(lambda y2: core(y1[..., None], y2), law, s_end, inner_q, points=pts)
         num = integrate_levy(outer_f, law, s_inc, outer_q)
-    den = integrate_levy(lambda w: gauss_density(vt, x, k * w), law, T - t, q,
-                         points=x / k + (np.sqrt(vt) / k) * GAUSS_BREAKS)
-    return num / den
+    return num / bridge_levy_density(model, t, x, T, 0.0, k, q)

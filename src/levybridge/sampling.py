@@ -200,3 +200,28 @@ def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, ba
     tau_idx = grid.snap_below(tau)
     vals = kappa_values(grid, model.sigma, model.levy_drift_scale, tau_idx, h, w, x)
     return vals, tau_idx, h, tau
+
+
+# -- one table of process samplers --------------------------------------------
+
+def _brownian_pair(grid: TimeGrid, seed: int, n: int, batch: int):
+    return brownian_batch(grid, seed, n, key=(batch, 0)), brownian_batch(grid, seed, n, key=(batch, 1))
+
+
+# Batch sampler per process name: (grid, source, seed, n, batch) -> path values,
+# paths as rows.  source is the noise law for zeta and levy-reversed, the market
+# model for eta and kappa, and unused by the Brownian processes.
+PROCESS_SAMPLERS = {
+    "brownian": lambda grid, source, seed, n, batch: brownian_batch(grid, seed, n, key=(batch, 0)),
+    "bridge": lambda grid, source, seed, n, batch: bridge_values(
+        grid, brownian_batch(grid, seed, n, key=(batch, 0))),
+    "bar-beta": lambda grid, source, seed, n, batch: bar_beta_values(
+        grid, *_brownian_pair(grid, seed, n, batch)),
+    "tilde-beta": lambda grid, source, seed, n, batch: tilde_beta_values(
+        grid, *_brownian_pair(grid, seed, n, batch)),
+    "zeta": lambda grid, law, seed, n, batch: sample_zeta_batch(grid, law, seed, n, batch),
+    "levy-reversed": lambda grid, law, seed, n, batch: reverse_values(
+        grid, levy_batch(law, grid, seed, n, key=(batch, 1))),
+    "eta": lambda grid, model, seed, n, batch: sample_eta_batch(model, grid, seed, n, batch)[0],
+    "kappa": lambda grid, model, seed, n, batch: sample_kappa_batch(model, grid, seed, n, batch)[0],
+}

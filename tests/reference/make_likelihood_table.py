@@ -4,7 +4,7 @@
 
 Model: T = 1, sigma = 1, payoff atoms h in {0, 1}; gamma noise and Poisson
 noise with rate 1.  For t in {0.05, 0.25, 0.5, 0.75, 0.95}, x runs over 13
-points spanning the law's ``x_bracket(model, t)``.  Arithmetic is at 40
+points spanning the law's ``x_bracket(model, t, t / T)``.  Arithmetic is at 40
 digits.
 
 Gamma: the likelihood is a Gaussian-power integral, so
@@ -70,7 +70,7 @@ def main():
         for name, (law, log_q) in laws.items():
             model = MarketModel(float(T), float(SIGMA), 1.0, RateCurve.flat(0.0), payoff, law)
             for t in TIMES:
-                lo, hi = x_bracket(model, float(t))
+                lo, hi = x_bracket(model, float(t), float(t) / model.maturity)
                 for i in range(POINTS):
                     x = lo + (hi - lo) * i / (POINTS - 1)
                     for h in (0, 1):

@@ -67,8 +67,8 @@ def test_a2_covariance_reproduction():
         pairs = [(0.05, 0.05), (0.1, 0.4), (0.25, 0.25), (0.25, 0.75), (0.5, 0.5),
                  (0.5, 0.95), (0.75, 0.75), (0.3, 0.7), (0.15, 0.6), (0.9, 0.9)]
         n = 50_000
-        bar = mc.grid_builder("bar", T, 20)
-        til = mc.grid_builder("tilde", T, 20)
+        bar = mc.grid_builder("bar-beta", T, 20)
+        til = mc.grid_builder("tilde-beta", T, 20)
         for s, t in pairs:
             rep = mc.empirical_cov(bar, s, t, n, 101, cov_bar(s, t, T), name=f"bar({s},{t})")
             assert rep.passed, rep
@@ -305,3 +305,20 @@ def test_a13_kappa_reduces_to_eta():
                 a = default_pricing.bond_price_default(kappa, float(t), float(x)).price
                 b = pricing.bond_price(eta, float(t), float(x)).price
                 assert abs(a - b) < 1e-10, (t, x)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])
+@pytest.mark.parametrize("maturity", [1.0, 2.0])
+def test_a13_point_default_is_the_maturity_model(levy, maturity):
+    # tau = T and mu = 1/T give the maturity model's kernel exactly: same
+    # bridge length, same law time T - t and the same Levy coefficient t/T
+    with criterion("A13 point-default reduction"):
+        kappa = MarketModel(maturity, 1.0, 1.0 / maturity, RateCurve.flat(0.0), BINARY, levy,
+                            default_law=DefaultTimeLaw.point(maturity))
+        eta = MarketModel(maturity, 1.0, 1.0, RateCurve.flat(0.0), BINARY, levy)
+        for t in np.linspace(0.1, 0.9, 5):
+            for x in (-0.45, 0.07, 0.33, 0.61, 1.27):
+                a = default_pricing.bond_price_default(kappa, float(t), float(x)).price
+                assert a == pricing.bond_price(eta, float(t), float(x)).price, (t, x)
+        assert (default_pricing.option_value_default(kappa, 0.5, 0.3)
+                == pricing.option_value(eta, 0.5, 0.3))

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from levybridge import mc
 from levybridge.cli import main
+from levybridge.laws import LevyLaw
 
 
 def _read(path):
@@ -83,6 +85,28 @@ def test_price_command_kappa(tmp_path):
     vals = lines[2].split(",")
     assert vals[2] == "0"
     assert 0.0 <= float(vals[3]) <= 1.0
+
+
+def test_price_command_vanished_posterior_exits_1(tmp_path, capsys):
+    law = {"kind": "atoms", "times": [0.7, 0.8], "weights": [0.5, 0.5]}
+    path = tmp_path / "model.json"
+    doc = json.loads(open(_model_file(tmp_path, default_law=law)).read())
+    path.write_text(json.dumps({**doc, "mu": 1.0}))
+    out = tmp_path / "price.csv"
+    assert main(["price", "--model", str(path), "--t", "0.01", "--x", "-4", "-o", str(out)]) == 1
+    assert not out.exists()
+    assert "posterior mass vanished" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("process", ["bar-beta", "tilde-beta", "zeta"])
+def test_simulate_matches_mc_builder(tmp_path, process):
+    # cli simulate and the Monte Carlo oracles draw from one process table
+    out = tmp_path / "paths.csv"
+    assert main(["simulate", "--process", process, "--steps", "16", "--paths", "5",
+                 "--seed", "11", "-o", str(out)]) == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in _read(out)[2:]])
+    builder = mc.grid_builder(process, 1.0, 16, levy=LevyLaw.standard_gamma())
+    assert np.array_equal(rows[:, 1:].T, builder(11, 5, 0, rows[:, 0]))
 
 
 def test_option_command(tmp_path):

@@ -188,3 +188,12 @@ def test_option_default_discounting():
 def test_default_quote_validation():
     with pytest.raises(ValueError):
         DefaultQuote(0.5, 0.3, False, 0.4, ((0.7, 0.0, 0.4), (0.7, 1.0, 0.4)))
+    with pytest.raises(ValueError):
+        DefaultQuote(0.5, 0.3, False, 0.4, ((0.7, 0.0, np.nan), (0.7, 1.0, 1.0)))
+
+
+def test_vanished_survival_mass_raises():
+    # both survival likelihoods underflow to 0 deep in the lower tail
+    m = _model(mu=1.0)
+    with pytest.raises(ArithmeticError):
+        bond_price_default(m, 0.01, -4.0)

@@ -35,7 +35,7 @@ def test_report_flags():
 
 
 def test_empirical_cov_tilde():
-    b = grid_builder("tilde", 1.0, 20)
+    b = grid_builder("tilde-beta", 1.0, 20)
     rep = empirical_cov(b, 0.25, 0.75, 50_000, 3, cov_tilde(0.25, 0.75, 1.0))
     assert rep.passed
     assert rep.n_paths == 50_000
@@ -50,7 +50,7 @@ def test_oracles_are_seed_deterministic():
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
-    b = grid_builder("bar", 1.0, 10)
+    b = grid_builder("bar-beta", 1.0, 10)
     base = empirical_cov(b, 0.5, 0.5, 150_000, 9, 0.375)
     monkeypatch.setenv("BRIDGE_THREADS", "4")
     threaded = empirical_cov(b, 0.5, 0.5, 150_000, 9, 0.375)
@@ -108,7 +108,7 @@ def test_posterior_binning_insufficient_sample():
 
 
 def test_empirical_cov_pinned_time_is_exact():
-    b = grid_builder("tilde", 1.0, 10)
+    b = grid_builder("tilde-beta", 1.0, 10)
     rep = empirical_cov(b, 0.0, 0.5, 5_000, 7, 0.0)
     assert rep.passed and rep.estimate == 0.0 and rep.z_score == 0.0
 

@@ -6,7 +6,8 @@ from scipy.special import gammaln, pbdv
 from levybridge.laws import LevyLaw
 from levybridge.numerics import (Quadrature, QuadratureError, gamma_density,
                                  gauss_density, integrate_levy,
-                                 parabolic_cylinder_D, poisson_pmf,
+                                 parabolic_cylinder_D,
+                                 parabolic_cylinder_log_D, poisson_pmf,
                                  positive_part_integral, power_gauss_integral)
 
 GAMMA = LevyLaw.standard_gamma()
@@ -89,6 +90,12 @@ def test_parabolic_cylinder_vs_scipy():
             ours = parabolic_cylinder_D(order, z)
             ref = pbdv(order, z)[0]
             assert ours == pytest.approx(ref, rel=1e-10), (order, z)
+
+
+def test_parabolic_cylinder_log_far_negative_argument():
+    # exp of the integrand's peak overflows here; references from mpmath.pcfd
+    assert parabolic_cylinder_log_D(-0.01, -70.0) == pytest.approx(1217.113649498405, rel=1e-10)
+    assert parabolic_cylinder_log_D(-0.5, -40.0) == pytest.approx(398.50236853195, rel=1e-10)
 
 
 def test_parabolic_cylinder_rejects_positive_order():

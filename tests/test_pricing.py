@@ -187,11 +187,21 @@ def test_option_rejects_bad_inputs():
 def test_price_quote_validation():
     with pytest.raises(ValueError):
         PriceQuote(0.5, 0.0, 0.5, ((0.0, 0.7), (1.0, 0.7)))
+    with pytest.raises(ValueError):
+        PriceQuote(0.5, 0.0, 0.5, ((0.0, np.nan), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("t, x, ref", [(0.99, 8.0, 0.7560241563472548), (0.5, 30.0, 0.7327364755780346)])
+def test_gamma_closed_form_far_tail(t, x, ref):
+    # D's integrand peaks far out here; the generic route gives the same price
+    m = _model()
+    assert gamma_closed_form_price(m, t, x) == pytest.approx(ref, rel=1e-8)
+    assert bond_price(m, t, x).price == pytest.approx(ref, rel=1e-8)
 
 
 def test_x_bracket_covers_signal():
     m = _model()
-    lo, hi = x_bracket(m, 0.5)
+    lo, hi = x_bracket(m, 0.5, 0.5 / m.maturity)
     assert lo < 0.0 and hi > 1.0
 
 

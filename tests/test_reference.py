@@ -55,7 +55,7 @@ def test_likelihood_matches_mpmath_table(law):
 def test_array_call_equals_scalar_calls(law):
     model = _model(LAWS[law])
     for t in (0.05, 0.5, 0.95):
-        lo, hi = x_bracket(model, t)
+        lo, hi = x_bracket(model, t, t / model.maturity)
         xs = np.linspace(lo, hi, 23)
         for h in (0.0, 1.0):
             batch = likelihood_q(model, t, h, xs)

@@ -17,9 +17,8 @@ import numpy as np
 from .model import MarketModel
 from .numerics import DEFAULT_QUADRATURE, Quadrature
 from .pricing import (bayes_posterior, binary_from_ratio, bridge_levy_density,
-                      option_integral)
+                      likelihood_ratio, option_integral, require_probability_vector)
 
-_WEIGHT_TOL = 1e-10
 _RAY_TOL = 1e-9
 
 
@@ -38,9 +37,7 @@ class DefaultQuote:
     posterior_joint: tuple
 
     def __post_init__(self):
-        weights = np.array([w for _, _, w in self.posterior_joint])
-        if not np.all(np.isfinite(weights)) or abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError("joint posterior weights must sum to 1")
+        require_probability_vector([w for _, _, w in self.posterior_joint])
 
 
 def on_payoff_ray(model: MarketModel, t: float, x, h):
@@ -56,6 +53,24 @@ def _match_atom(model: MarketModel, t: float, x: float) -> int | None:
     support = model.payoff.support
     i = int(np.argmin(np.abs(model.sigma * t * support - x)))
     return i if on_payoff_ray(model, t, x, support[i]) else None
+
+
+def _revealed_atom(model: MarketModel, t: float, x: float) -> int | None:
+    """Index of the payoff atom whose ray x lies on (default revealed), or None (survival).
+
+    Raises ArithmeticError when the law rules that outcome out: no default
+    mass by t on a ray, no survival mass after t off the rays (an atom law
+    survives exactly when it has an atom after t).
+    """
+    law = _require_default_law(model)
+    if not 0.0 < t < model.maturity:
+        raise ValueError("need 0 < t < T")
+    i = _match_atom(model, t, x)
+    if i is not None and law.cdf(t) <= 0.0:
+        raise ArithmeticError("observation lies on a ray but P(tau <= t) = 0")
+    if i is None and not (np.any(law.atom_times > t) if law.is_discrete else law.cdf(t) < 1.0):
+        raise ArithmeticError("observation lies off the rays but P(tau > t) = 0")
+    return i
 
 
 def default_indicator(model: MarketModel, t: float, x: float) -> bool:
@@ -116,17 +131,12 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     averaged over (0, t] under its prior restricted there; on the survival
     branch the joint density over (t, T] x atoms is applied as displayed.
     """
-    law = _require_default_law(model)
+    i = _revealed_atom(model, t, x)
+    law = model.default_law
     T = model.maturity
-    if not 0.0 < t < T:
-        raise ValueError("need 0 < t < T")
-    i = _match_atom(model, t, x)
     if i is not None:
-        cdf_t = law.cdf(t)
-        if cdf_t <= 0.0:
-            raise ArithmeticError("observation lies on a ray but P(tau <= t) = 0")
         h_i = float(model.payoff.support[i])
-        return law.integrate(lambda r: g(r, h_i), 0.0, t) / cdf_t
+        return law.integrate(lambda r: g(r, h_i), 0.0, t, rel_tol=q.rel_tol, abs_tol=q.abs_tol) / law.cdf(t)
     k = model.levy_drift_scale * t
     num = 0.0
     den = 0.0
@@ -139,12 +149,11 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     return num / den
 
 
-def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature,
-                defaulted: bool, atom_index: int | None):
-    """Posterior cells over (tau, payoff) for the DefaultQuote."""
+def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature, atom_index: int | None):
+    """Posterior cells over (tau, payoff) for the DefaultQuote; atom_index None is survival."""
     law = model.default_law
     support = model.payoff.support
-    if defaulted:
+    if atom_index is not None:
         h_i = float(support[atom_index])
         if law.is_discrete:
             sel = law.atom_times <= t
@@ -170,7 +179,7 @@ def survival_posterior_mean(model: MarketModel, t: float, x,
 
     x may be an array of observations; the result then has its shape.
     """
-    rows = _joint_rows(model, t, x, q, False, None)
+    rows = _joint_rows(model, t, x, q, None)
     mean = sum(h * w for _, h, w in rows)
     return float(mean) if np.ndim(mean) == 0 else mean
 
@@ -178,20 +187,10 @@ def survival_posterior_mean(model: MarketModel, t: float, x,
 def bond_price_default(model: MarketModel, t: float, x: float,
                        q: Quadrature = DEFAULT_QUADRATURE) -> DefaultQuote:
     """Defaultable bond price: revealed payoff on the rays, posterior mean off them."""
-    law = _require_default_law(model)
-    T = model.maturity
-    if not 0.0 < t < T:
-        raise ValueError("need 0 < t < T")
-    p_tT = model.discount(t)
-    i = _match_atom(model, t, x)
-    if i is not None:
-        if law.cdf(t) <= 0.0:
-            raise ArithmeticError("observation lies on a ray but P(tau <= t) = 0")
-        price = p_tT * (x / (model.sigma * t))
-        return DefaultQuote(t, x, True, price, _joint_rows(model, t, x, q, True, i))
-    rows = _joint_rows(model, t, x, q, False, None)
-    price = p_tT * sum(h * w for _, h, w in rows)
-    return DefaultQuote(t, x, False, price, rows)
+    i = _revealed_atom(model, t, x)
+    rows = _joint_rows(model, t, x, q, i)
+    mean = sum(h * w for _, h, w in rows) if i is None else float(model.payoff.support[i])
+    return DefaultQuote(t, x, i is not None, model.discount(t) * mean, rows)
 
 
 def binary_bond_price_default(model: MarketModel, t: float, x: float,
@@ -199,20 +198,17 @@ def binary_bond_price_default(model: MarketModel, t: float, x: float,
     """Two-atom defaultable bond through the survival likelihood ratio."""
     if not model.payoff.is_binary:
         raise ValueError("this route needs a two-atom payoff")
-    _require_default_law(model)
-    if not 0.0 < t < model.maturity:
-        raise ValueError("need 0 < t < T")
-    if _match_atom(model, t, x) is not None:
-        return model.discount(t) * (x / (model.sigma * t))
+    i = _revealed_atom(model, t, x)
+    if i is not None:
+        return model.discount(t) * float(model.payoff.support[i])
     h0, h1 = model.payoff.support
-    ratio = (survival_kernel(model, t, x, float(h1), q)
-             / survival_kernel(model, t, x, float(h0), q))
+    ratio = likelihood_ratio(survival_kernel(model, t, x, float(h1), q),
+                             survival_kernel(model, t, x, float(h0), q))
     return binary_from_ratio(model, t, ratio)
 
 
 def option_value_default(model: MarketModel, t: float, strike: float,
-                         q: Quadrature = DEFAULT_QUADRATURE,
-                         outer_abs_tol: float = 1e-10, outer_rel_tol: float = 1e-8) -> float:
+                         q: Quadrature = DEFAULT_QUADRATURE) -> float:
     """Time-0 value of a call exercisable at t on the defaultable bond.
 
     Sum of the revealed part, weighted by P(tau <= t), and the survival part,
@@ -220,7 +216,7 @@ def option_value_default(model: MarketModel, t: float, strike: float,
     """
     law = _require_default_law(model)
     survival = option_integral(model, t, strike, lambda h, x: survival_kernel(model, t, x, float(h), q),
-                               model.levy_drift_scale * t, outer_abs_tol, outer_rel_tol)
+                               model.levy_drift_scale * t)
     p_tT = model.discount(t)
     revealed = law.cdf(t) * sum(max(p_tT * h - strike, 0.0) * p
                                 for h, p in zip(model.payoff.support, model.payoff.probs))

@@ -45,8 +45,8 @@ class TimeChange:
     horizon: float
 
     @classmethod
-    def infer(cls, func: Callable[[float], float], horizon: float, samples: int = 257) -> "TimeChange":
-        vals = np.array([func(u) for u in np.linspace(0.0, horizon, samples)])
+    def infer(cls, func: Callable[[float], float], horizon: float) -> "TimeChange":
+        vals = np.array([func(u) for u in np.linspace(0.0, horizon, 257)])
         if np.any(vals < 0.0):
             raise ValueError("psi must be nonnegative")
         diffs = np.diff(vals)

@@ -102,15 +102,15 @@ class PayoffDistribution:
         return cls(np.array([h0, h1]), np.array([1.0 - p1, p1]))
 
     @classmethod
-    def from_weights(cls, support, probs, coverage: float = 1.0 - 1e-12) -> "PayoffDistribution":
-        """Truncate a (possibly countable) list of atoms to the given prior mass.
+    def from_weights(cls, support, probs) -> "PayoffDistribution":
+        """Truncate a (possibly countable) list of atoms to prior mass 1 - 1e-12.
 
         Atoms are kept in the given order until the cumulative mass reaches
-        ``coverage``; the retained probabilities are renormalized.
+        that coverage; the retained probabilities are renormalized.
         """
         support = np.asarray(support, dtype=float)
         probs = np.asarray(probs, dtype=float)
-        keep = np.searchsorted(np.cumsum(probs), coverage) + 1
+        keep = np.searchsorted(np.cumsum(probs), 1.0 - 1e-12) + 1
         keep = min(keep, probs.size)
         p = probs[:keep]
         return cls(support[:keep], p / p.sum())

@@ -24,6 +24,9 @@ from .sampling import PROCESS_SAMPLERS, sample_eta_batch, sample_kappa_batch
 PASS_SIGMAS = 4.0
 BATCH_SIZE = 65_536
 _MIN_WINDOW_HITS = 50
+_ORACLE_STEPS = 40
+_HIST_SIGMAS = 5.0
+_HIST_MASS_CUT = 5e-4
 
 
 @dataclass(frozen=True)
@@ -128,13 +131,12 @@ def empirical_mean(builder, t: float, n_paths: int, seed: int, target: float,
 # -- transition density ----------------------------------------------------------
 
 def conditional_histogram(builder, t: float, u: float, x: float, delta: float, bins: int,
-                          n_paths: int, seed: int, density, support: tuple[float, float],
-                          sigmas: float = 5.0, mass_cut: float = 5e-4) -> list[McReport]:
+                          n_paths: int, seed: int, density, support: tuple[float, float]) -> list[McReport]:
     """Histogram of the time-u value among paths near x at time t, vs the density.
 
-    Bin edges cover the central (1 - 2*mass_cut) mass of the density; the two
-    outer bins are open-ended.  Per-bin comparison uses the binomial standard
-    error at the target probability.
+    Bin edges cover the central (1 - 2*_HIST_MASS_CUT) mass of the density;
+    the two outer bins are open-ended.  Per-bin comparison uses the binomial
+    standard error at the target probability.
     """
 
     def one(batch, size):
@@ -151,8 +153,8 @@ def conditional_histogram(builder, t: float, u: float, x: float, delta: float, b
     dens = np.array([density(y) for y in ys])
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(ys))])
     total = cdf[-1]
-    lo = float(np.interp(mass_cut * total, cdf, ys))
-    hi = float(np.interp((1.0 - mass_cut) * total, cdf, ys))
+    lo = float(np.interp(_HIST_MASS_CUT * total, cdf, ys))
+    hi = float(np.interp((1.0 - _HIST_MASS_CUT) * total, cdf, ys))
     inner = np.linspace(lo, hi, bins - 1)
     edges = np.concatenate([[-np.inf], inner, [np.inf]])
     counts, _ = np.histogram(hits, edges)
@@ -164,110 +166,97 @@ def conditional_histogram(builder, t: float, u: float, x: float, delta: float, b
     reports = []
     for k, (c, p) in enumerate(zip(counts, targets)):
         se = np.sqrt(max(p * (1.0 - p), 1e-300) / m)
-        reports.append(_make_report(f"bin[{k}]", c / m, se, m, p, sigmas=sigmas))
+        reports.append(_make_report(f"bin[{k}]", c / m, se, m, p, sigmas=_HIST_SIGMAS))
     return reports
 
 
 # -- posterior and pricing oracles ------------------------------------------------
 
-def _eta_grid(model: MarketModel, t: float, steps: int = 40) -> TimeGrid:
-    grid = TimeGrid.uniform(model.maturity, steps)
-    grid.index_of(t)  # fail early if t is off the grid
-    return grid
+def _sample_observations(model: MarketModel, t: float, n_paths: int, seed: int):
+    """(value at t, payoff, defaulted) of n_paths paths of the model's information process.
+
+    The one place the oracles choose the eta or the kappa sampler: eta when
+    the model carries no default law, kappa otherwise.  A path has defaulted
+    when its value at t sits on its payoff ray.
+    """
+    grid = TimeGrid.uniform(model.maturity, _ORACLE_STEPS)
+    idx = grid.index_of(t)
+
+    def one(batch, size):
+        # copy the time-t column, so the batch is freed before the next one
+        if model.default_law is None:
+            vals, h = sample_eta_batch(model, grid, seed, size, batch)
+            return vals[:, idx].copy(), h, np.zeros(size, dtype=bool)
+        vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch)
+        x = vals[:, idx].copy()
+        return x, h, default_pricing.on_payoff_ray(model, t, x, h)
+
+    return tuple(np.concatenate(part) for part in zip(*_map_batches(one, n_paths)))
 
 
 def posterior_binning(model: MarketModel, t: float, x: float, delta: float | None,
-                      n_paths: int, seed: int, grid_steps: int = 40) -> list[McReport]:
+                      n_paths: int, seed: int) -> list[McReport]:
     """Empirical payoff frequencies near x vs the posterior weights.
 
     Uses the default-time model when the market model carries a default law;
     x should then sit away from the payoff rays so the window holds survival
-    paths only.
+    paths only, and the target is the payoff marginal of the joint posterior.
     """
     T = model.maturity
     if delta is None:
         delta = 0.02 * np.sqrt(t * (T - t) / T)
-    grid = _eta_grid(model, t, grid_steps)
-    idx = grid.index_of(t)
-    is_kappa = model.default_law is not None
-
-    def one(batch, size):
-        if is_kappa:
-            vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch)
-        else:
-            vals, h = sample_eta_batch(model, grid, seed, size, batch)
-        sel = np.abs(vals[:, idx] - x) <= delta
-        return h[sel]
-
-    hits = np.concatenate(_map_batches(one, n_paths))
+    xs, h, _ = _sample_observations(model, t, n_paths, seed)
+    hits = h[np.abs(xs - x) <= delta]
     m = hits.size
     if m < _MIN_WINDOW_HITS:
         raise ArithmeticError(f"insufficient sample: only {m} paths near x={x}")
 
-    if is_kappa:
-        weights = [default_pricing.posterior_tau_payoff(
-            model, t, x, lambda r, h, hi=float(hi): float(h == hi)) for hi in model.payoff.support]
-    else:
+    support = model.payoff.support
+    if model.default_law is None:
         weights = [w for _, w in pricing.posterior_payoff(model, t, x)]
+    else:
+        rows = default_pricing.bond_price_default(model, t, x).posterior_joint
+        weights = [sum(w for _, h_j, w in rows if h_j == hi) for hi in support]
 
     reports = []
-    for hi, target in zip(model.payoff.support, weights):
+    for hi, target in zip(support, weights):
         p_hat = float(np.mean(hits == hi))
         se = np.sqrt(max(target * (1.0 - target), 1e-300) / m)
         reports.append(_make_report(f"posterior[h={hi:g}]", p_hat, se, m, target))
     return reports
 
 
-def _survival_price_spline(model: MarketModel, t: float, xs: np.ndarray, is_kappa: bool):
-    """Cubic spline of the undiscounted posterior mean over an x-range."""
-    lo, hi = float(xs.min()), float(xs.max())
-    pad = 1e-6 * max(1.0, hi - lo)
-    nodes = np.linspace(lo - pad, hi + pad, 601)
-    if is_kappa:
-        means = default_pricing.survival_posterior_mean(model, t, nodes)
-    else:
-        means = pricing.posterior_mean(model, t, nodes)
-    return CubicSpline(nodes, means)
-
-
-def _observed_bond_means(model: MarketModel, t: float, n_paths: int, seed: int, grid_steps: int) -> np.ndarray:
+def _observed_bond_means(model: MarketModel, t: float, n_paths: int, seed: int) -> np.ndarray:
     """Undiscounted bond value at the sampled observations of time t.
 
-    Defaulted paths read their payoff off the ray; the others take the
-    spline of the posterior mean.
+    Defaulted paths take their revealed payoff; the others take a cubic
+    spline of the posterior mean through 601 nodes over their x-range.
     """
-    grid = _eta_grid(model, t, grid_steps)
-    idx = grid.index_of(t)
-    is_kappa = model.default_law is not None
-
-    def one(batch, size):
-        if is_kappa:
-            vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch)
-            x = vals[:, idx]
-            return x, default_pricing.on_payoff_ray(model, t, x, h)
-        vals, _ = sample_eta_batch(model, grid, seed, size, batch)
-        return vals[:, idx], np.zeros(size, dtype=bool)
-
-    parts = _map_batches(one, n_paths)
-    xs = np.concatenate([p[0] for p in parts])
-    defaulted = np.concatenate([p[1] for p in parts])
-    spline = _survival_price_spline(model, t, xs[~defaulted], is_kappa)
-    return np.where(defaulted, xs / (model.sigma * t), spline(xs))
+    xs, h, defaulted = _sample_observations(model, t, n_paths, seed)
+    alive = xs[~defaulted]
+    lo, hi = float(alive.min()), float(alive.max())
+    pad = 1e-6 * max(1.0, hi - lo)
+    nodes = np.linspace(lo - pad, hi + pad, 601)
+    if model.default_law is None:
+        means = pricing.posterior_mean(model, t, nodes)
+    else:
+        means = default_pricing.survival_posterior_mean(model, t, nodes)
+    return np.where(defaulted, h, CubicSpline(nodes, means)(xs))
 
 
 def tower_check(model: MarketModel, t: float, n_paths: int, seed: int,
-                grid_steps: int = 40, name: str | None = None) -> McReport:
+                name: str | None = None) -> McReport:
     """E[posterior mean of the payoff] must equal the prior mean."""
-    means = _observed_bond_means(model, t, n_paths, seed, grid_steps)
+    means = _observed_bond_means(model, t, n_paths, seed)
     est = means.mean()
     se = means.std(ddof=1) / np.sqrt(means.size)
     return _make_report(name or f"tower[t={t:g}]", est, se, means.size, model.payoff.mean())
 
 
 def option_mc(model: MarketModel, t: float, strike: float, n_paths: int, seed: int,
-              target: float, grid_steps: int = 40, name: str = "option") -> McReport:
+              target: float, name: str = "option") -> McReport:
     """Plain Monte Carlo of the discounted option payoff vs the quadrature value."""
-    bond = model.discount(t) * _observed_bond_means(model, t, n_paths, seed, grid_steps)
+    bond = model.discount(t) * _observed_bond_means(model, t, n_paths, seed)
     payoff = model.discount(0.0, t) * np.maximum(bond - strike, 0.0)
     est = payoff.mean()
     se = payoff.std(ddof=1) / np.sqrt(payoff.size)

@@ -20,8 +20,11 @@ from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
                        parabolic_cylinder_log_D, positive_part_integral)
 
 _WEIGHT_TOL = 1e-10
+_OPTION_ABS_TOL, _OPTION_REL_TOL = 1e-10, 1e-8
 _PRICE_SLACK = 1e-9
 _ENDPOINT_SNAP = 1e-9
+_SERIES_TOL = 1e-16
+_VANISHED = "posterior mass vanished: observation too deep in the tails"
 _BRACKET_WIDTH = 12.0
 
 
@@ -35,13 +38,17 @@ class PriceQuote:
     posterior: tuple
 
     def __post_init__(self):
-        weights = np.array([w for _, w in self.posterior])
-        if (not np.all(np.isfinite(weights)) or np.any(weights < -_WEIGHT_TOL)
-                or abs(weights.sum() - 1.0) > _WEIGHT_TOL):
-            raise ValueError("posterior weights must be a probability vector")
+        require_probability_vector([w for _, w in self.posterior])
 
     def posterior_mean(self) -> float:
         return float(sum(h * w for h, w in self.posterior))
+
+
+def require_probability_vector(weights) -> None:
+    """Raise ValueError unless the weights are finite, nonnegative and sum to 1."""
+    w = np.array(weights, dtype=float)
+    if not np.all(np.isfinite(w)) or np.any(w < -_WEIGHT_TOL) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        raise ValueError("posterior weights must be a probability vector")
 
 
 def bayes_posterior(likelihoods, priors) -> np.ndarray:
@@ -53,7 +60,7 @@ def bayes_posterior(likelihoods, priors) -> np.ndarray:
     w = likes * np.asarray(priors, dtype=float).reshape((-1,) + (1,) * (likes.ndim - 1))
     total = w.sum(axis=0)
     if not np.all(np.isfinite(total) & (total > 0.0)):
-        raise ArithmeticError("posterior mass vanished: observation too deep in the tails")
+        raise ArithmeticError(_VANISHED)
     return w / total
 
 
@@ -147,12 +154,20 @@ def _check_price_bounds(model: MarketModel, t: float, price: float) -> None:
         raise ArithmeticError(f"price {price} escaped the convex hull [{lo}, {hi}]")
 
 
+def likelihood_ratio(q1: float, q0: float) -> float:
+    """q1 / q0, infinite when only q0 vanished; ArithmeticError when both did."""
+    if q0 == 0.0 == q1:
+        raise ArithmeticError(_VANISHED)
+    return q1 / q0 if q0 != 0.0 else np.inf
+
+
 def binary_from_ratio(model: MarketModel, t: float, ratio_10: float) -> float:
-    """Price from the likelihood ratio q(h1)/q(h0), as in the two-atom formula."""
+    """Price from the likelihood ratio q(h1)/q(h0), as in the two-atom formula; 0 and inf included."""
     h0, h1 = model.payoff.support
     p1 = float(model.payoff.probs[1])
     w0 = 1.0 / (1.0 + ratio_10 * (p1 / (1.0 - p1)))
-    w1 = 1.0 / (1.0 + (1.0 / ratio_10) * ((1.0 - p1) / p1))
+    with np.errstate(divide="ignore"):
+        w1 = 1.0 / (1.0 + np.divide(1.0, ratio_10) * ((1.0 - p1) / p1))
     return model.discount(t) * (h0 * w0 + h1 * w1)
 
 
@@ -161,7 +176,7 @@ def binary_bond_price(model: MarketModel, t: float, x: float,
     """Two-atom specialization written through the likelihood ratio."""
     _require_binary(model)
     h0, h1 = model.payoff.support
-    ratio = likelihood_q(model, t, h1, x, q) / likelihood_q(model, t, h0, x, q)
+    ratio = likelihood_ratio(likelihood_q(model, t, h1, x, q), likelihood_q(model, t, h0, x, q))
     return binary_from_ratio(model, t, ratio)
 
 
@@ -193,8 +208,7 @@ def gamma_closed_form_price(model: MarketModel, t: float, x: float,
     return binary_from_ratio(model, t, ratio)
 
 
-def poisson_closed_form_price(model: MarketModel, t: float, x: float,
-                              series_tol: float = 1e-16) -> float:
+def poisson_closed_form_price(model: MarketModel, t: float, x: float) -> float:
     """Closed form for the binary bond under Poisson noise as a lattice series."""
     _require_binary(model)
     if model.levy.kind != "poisson":
@@ -218,7 +232,7 @@ def poisson_closed_form_price(model: MarketModel, t: float, x: float,
             total += term
             # the summand is log-concave in i, so once a term falls below its
             # predecessor the peak is behind and the terms only shrink
-            small = small + 1 if (term < prev and term < series_tol * total) else 0
+            small = small + 1 if (term < prev and term < _SERIES_TOL * total) else 0
             prev = term
             i += 1
             if i > 100_000:
@@ -253,8 +267,7 @@ def x_bracket(model: MarketModel, t: float, k: float) -> tuple[float, float]:
     return lo, hi
 
 
-def option_integral(model: MarketModel, t: float, strike: float, kernel, k: float,
-                    outer_abs_tol: float, outer_rel_tol: float) -> float:
+def option_integral(model: MarketModel, t: float, strike: float, kernel, k: float) -> float:
     """Integral over x of the positive part of sum_h p_h (P_t^T h - K) kernel(h, x).
 
     kernel(h, x) is the likelihood of the observations x given payoff h,
@@ -271,19 +284,17 @@ def option_integral(model: MarketModel, t: float, strike: float, kernel, k: floa
                    for h, p in zip(model.payoff.support, model.payoff.probs))
 
     lo, hi = x_bracket(model, t, k)
-    return positive_part_integral(g, lo, hi, outer_abs_tol, outer_rel_tol)
+    return positive_part_integral(g, lo, hi, _OPTION_ABS_TOL, _OPTION_REL_TOL)
 
 
 def option_value(model: MarketModel, t: float, strike: float,
-                 q: Quadrature = DEFAULT_QUADRATURE,
-                 outer_abs_tol: float = 1e-10, outer_rel_tol: float = 1e-8) -> float:
+                 q: Quadrature = DEFAULT_QUADRATURE) -> float:
     """Value at time 0 of a call exercisable at t on the bond maturing at T.
 
     Discounted positive part of the strike-adjusted likelihood mixture,
     integrated over every value the information process can take at t.
     """
-    val = option_integral(model, t, strike, lambda h, x: likelihood_q(model, t, h, x, q),
-                          t / model.maturity, outer_abs_tol, outer_rel_tol)
+    val = option_integral(model, t, strike, lambda h, x: likelihood_q(model, t, h, x, q), t / model.maturity)
     return model.discount(0.0, t) * val
 
 

@@ -175,7 +175,7 @@ def test_a6_transition_density():
         reports = mc.conditional_histogram(
             builder, t, u, x, delta, 40, 500_000, 606,
             lambda y: pricing.transition_density_psi(model, t, u, x, y, qh),
-            support=(-2.5, 10.0), sigmas=5.0)
+            support=(-2.5, 10.0))
         bad = [r for r in reports if not r.passed]
         assert not bad, bad
 

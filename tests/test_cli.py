@@ -178,3 +178,13 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_price_command_impossible_observation_exits_1(tmp_path, capsys):
+    # every default atom is <= t and x is off the rays, so P(tau > t) = 0 rules it out
+    law = {"kind": "atoms", "times": [0.25, 0.75], "weights": [0.5, 0.5]}
+    out = tmp_path / "price.csv"
+    assert main(["price", "--model", _model_file(tmp_path, default_law=law),
+                 "--t", "0.8", "--x", "1.9", "-o", str(out)]) == 1
+    assert not out.exists()
+    assert "observation lies off the rays but P(tau > t) = 0" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levybridge.default_pricing import (DefaultQuote, binary_bond_price_default,
                                         bond_price_default, default_indicator,
@@ -8,7 +10,8 @@ from levybridge.default_pricing import (DefaultQuote, binary_bond_price_default,
                                         survival_posterior_mean)
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
-from levybridge.numerics import gauss_density, integrate_levy, poisson_pmf
+from levybridge.numerics import (Quadrature, QuadratureError, gauss_density,
+                                 integrate_levy, poisson_pmf)
 from levybridge.pricing import bond_price
 
 GAMMA = LevyLaw.standard_gamma()
@@ -190,6 +193,8 @@ def test_default_quote_validation():
         DefaultQuote(0.5, 0.3, False, 0.4, ((0.7, 0.0, 0.4), (0.7, 1.0, 0.4)))
     with pytest.raises(ValueError):
         DefaultQuote(0.5, 0.3, False, 0.4, ((0.7, 0.0, np.nan), (0.7, 1.0, 1.0)))
+    with pytest.raises(ValueError):
+        DefaultQuote(0.5, 0.3, False, 0.4, ((0.7, 0.0, -0.5), (0.7, 1.0, 1.5)))
 
 
 def test_vanished_survival_mass_raises():
@@ -197,3 +202,72 @@ def test_vanished_survival_mass_raises():
     m = _model(mu=1.0)
     with pytest.raises(ArithmeticError):
         bond_price_default(m, 0.01, -4.0)
+
+
+_ENTRY_POINTS = {
+    "bond_price_default": bond_price_default,
+    "binary_bond_price_default": binary_bond_price_default,
+    "posterior_tau_payoff": lambda m, t, x: posterior_tau_payoff(m, t, x, lambda r, h: h),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("times, weights, t, x, message", [
+    # on the h = 1 ray before the first atom
+    ([0.7, 0.8], [0.5, 0.5], 0.5, 0.5, "observation lies on a ray but P(tau <= t) = 0"),
+    # off the rays after the last atom
+    ([0.25, 0.75], [0.5, 0.5], 0.8, 1.9, "observation lies off the rays but P(tau > t) = 0"),
+    # the same, where the weights before t sum to 0.9999999999999999
+    ([0.2, 0.3, 0.4], [0.7, 0.2, 0.1], 0.5, 0.37, "observation lies off the rays but P(tau > t) = 0"),
+])
+def test_impossible_observation_raises(entry, times, weights, t, x, message):
+    m = _model(law=DefaultTimeLaw.atoms(times, weights, horizon=1.0))
+    with pytest.raises(ArithmeticError) as info:
+        _ENTRY_POINTS[entry](m, t, x)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x, revealed", [(0.499, 1.0), (0.001, 0.0)])
+def test_binary_default_route_with_one_vanished_likelihood(x, revealed):
+    # the only survival atom is 1e-7 after t: one payoff's bridge is too narrow to reach x
+    m = _model(law=DefaultTimeLaw.atoms([0.3, 0.5 + 1e-7], [0.5, 0.5], horizon=1.0), mu=0.0)
+    assert bond_price_default(m, 0.5, x).price == revealed
+    assert binary_bond_price_default(m, 0.5, x) == revealed
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_posterior_tau_revealed_branch_uses_caller_tolerance():
+    m = _model(law=DefaultTimeLaw.exponential_conditioned(0.1, 1.0))
+    unreachable = Quadrature(rel_tol=1e-18, abs_tol=1e-300)
+    for x in (0.5, 0.3):  # on the h = 1 ray, then off the rays
+        with pytest.raises(QuadratureError):
+            posterior_tau_payoff(m, 0.5, x, lambda r, h: r, unreachable)
+
+
+@st.composite
+def _default_observation(draw):
+    n = draw(st.integers(2, 3))
+    times = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n, unique=True))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    law = DefaultTimeLaw.atoms(times, np.array(raw) / sum(raw), horizon=1.0)
+    m = _model(law=law, mu=draw(st.floats(0.0, 2.0)), rate=draw(st.sampled_from([0.0, 0.03])))
+    t = draw(st.floats(0.05, 0.95))
+    on_ray = draw(st.booleans())
+    x = m.sigma * t * draw(st.sampled_from([0.0, 1.0])) if on_ray else draw(st.floats(-0.5, 1.5))
+    return m, t, x
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_default_observation())
+def test_default_routes_agree_or_raise_together(case):
+    m, t, x = case
+    try:
+        quote = bond_price_default(m, t, x)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            binary_bond_price_default(m, t, x)
+        return
+    # DefaultQuote has already checked that its weights form a probability vector
+    p = m.discount(t)
+    assert min(BINARY.support) * p - 1e-12 <= quote.price <= max(BINARY.support) * p + 1e-12
+    assert binary_bond_price_default(m, t, x) == pytest.approx(quote.price, abs=1e-12)

@@ -150,3 +150,10 @@ def test_positive_part_integral():
     val = positive_part_integral(lambda x: np.sin(x), 0.0, 3.0 * np.pi, 1e-12, 1e-10)
     assert val == pytest.approx(4.0, rel=1e-10)
     assert positive_part_integral(lambda x: 0.0 * x - 1.0, -1.0, 1.0, 1e-12, 1e-10) == 0.0
+
+
+@pytest.mark.xfail(raises=(RuntimeWarning, QuadratureError), strict=True,
+                   reason="known defect: the Jacobi head recurrence cancels in beta = a - 1 for tiny a")
+def test_gamma_law_time_below_1e_15():
+    # X_a with a = 1e-16 is almost surely within 1e-12 of 0, so the integral is 1 to 1e-12
+    assert integrate_levy(lambda y: np.exp(-y * y), GAMMA, 1e-16) == pytest.approx(1.0, abs=1e-12)

@@ -4,9 +4,9 @@ from scipy import integrate
 
 from levybridge.laws import LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
-from levybridge.numerics import gauss_density
+from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density
 from levybridge.pricing import (PriceQuote, bayes_posterior, binary_bond_price,
-                                bond_price, discount, gamma_closed_form_price,
+                                bond_price, bridge_levy_density, discount, gamma_closed_form_price,
                                 likelihood_q, option_value,
                                 poisson_closed_form_price, posterior_mean,
                                 posterior_payoff, transition_density_psi,
@@ -238,3 +238,19 @@ def test_posterior_mean_between_atoms():
     for x in (-1.0, 0.0, 0.5, 1.5):
         pm = posterior_mean(m, 0.5, x)
         assert 0.0 <= pm <= 1.0
+
+
+@pytest.mark.parametrize("x, revealed", [(500.0, 1.0), (0.3, 0.0)])
+def test_binary_route_with_one_vanished_likelihood(x, revealed):
+    # with sigma = 1000 one likelihood underflows to 0, and the other payoff is certain
+    m = _model(sigma=1000.0)
+    assert bond_price(m, 0.5, x).price == revealed
+    assert binary_bond_price(m, 0.5, x) == revealed
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: integrate_levy misses the gamma bulk for a small Levy coefficient")
+def test_bridge_levy_density_small_levy_coefficient():
+    # scipy.integrate.quad of the same Gaussian-gamma mixture (law time 0.3) gives 0.828100973655749
+    m = _model()
+    assert bridge_levy_density(m, 0.5, 0.3, 0.8, 1.0, 1e-5, DEFAULT_QUADRATURE) == pytest.approx(
+        0.828100973655749, rel=1e-8)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarketModel
-from .numerics import DEFAULT_QUADRATURE, Quadrature
+from .numerics import DEFAULT_QUADRATURE, UNDERFLOW, Quadrature
 from .pricing import (bayes_posterior, binary_from_ratio, bridge_levy_density,
                       likelihood_ratio, option_integral, require_probability_vector)
 
@@ -105,22 +105,35 @@ def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: floa
         return 1.0 if match else 0.0
     if any(x == h_i for h_i in support):
         return 0.0
-    return bridge_levy_density(model, t, x, r, h, model.levy_drift_scale * t, q)
+    return bridge_levy_density(model, t, x, r - t, h, model.levy_drift_scale * t, q)
 
 
 def survival_kernel(model: MarketModel, t: float, x, h: float,
                     q: Quadrature = DEFAULT_QUADRATURE):
     """Integral of the bridge-plus-Levy density over default times in (t, T].
 
-    x may be an array of observations; under a continuous default-time law
-    each element is its own quadrature over the default time.
+    x may be an array of observations; the result then has its shape.  Each
+    call of the density covers many pairs of observation and default-time
+    node at once, each pair with its own law time.
+    """
+    return _survival_integral(model, t, x, h, q)
+
+
+def _survival_integral(model: MarketModel, t: float, x, h: float, q: Quadrature, g=None,
+                       abs_tol: float = UNDERFLOW):
+    """Integral over default times r in (t, T] of g(r, h) times the bridge-plus-Levy density at x; g = 1 if None.
+
+    The likelihood (g None) is resolved relative to itself down to
+    underflow, as integrate_levy resolves the density's own integral.
     """
     law = _require_default_law(model)
-    if not law.is_discrete and np.ndim(x):
-        return np.reshape([survival_kernel(model, t, xi, h, q) for xi in np.ravel(x)], np.shape(x))
     k = model.levy_drift_scale * t
-    return law.integrate(lambda r: bridge_levy_density(model, t, x, r, h, k, q),
-                         t, model.maturity, rel_tol=q.rel_tol, abs_tol=q.abs_tol)
+
+    def f(s, x):
+        dens = bridge_levy_density(model, t, x, s, h, k, q)
+        return dens if g is None else g(t + s, h) * dens
+
+    return law.integrate(f, t, model.maturity, rel_tol=q.rel_tol, abs_tol=abs_tol, args=(x,))
 
 
 def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
@@ -130,22 +143,22 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     On the revealed branch the payoff atom is read off the ray and tau is
     averaged over (0, t] under its prior restricted there; on the survival
     branch the joint density over (t, T] x atoms is applied as displayed.
+    g(r, h) is called with an array r of default times and a float h, and
+    returns one value per time; it may change sign.  The result is resolved
+    to q.rel_tol relative plus q.abs_tol absolute: on the survival branch the
+    numerator's absolute tolerance is q.abs_tol times the posterior mass.
     """
     i = _revealed_atom(model, t, x)
     law = model.default_law
-    T = model.maturity
     if i is not None:
         h_i = float(model.payoff.support[i])
         return law.integrate(lambda r: g(r, h_i), 0.0, t, rel_tol=q.rel_tol, abs_tol=q.abs_tol) / law.cdf(t)
-    k = model.levy_drift_scale * t
-    num = 0.0
-    den = 0.0
-    for h, p in zip(model.payoff.support, model.payoff.probs):
-        num += p * law.integrate(lambda r: g(r, float(h)) * bridge_levy_density(model, t, x, r, float(h), k, q),
-                                 t, T, rel_tol=q.rel_tol, abs_tol=q.abs_tol)
-        den += p * survival_kernel(model, t, x, float(h), q)
+    den = sum(p * survival_kernel(model, t, x, float(h), q)
+              for h, p in zip(model.payoff.support, model.payoff.probs))
     if den <= 0.0 or not np.isfinite(den):
         raise ArithmeticError("survival posterior mass vanished")
+    num = sum(p * _survival_integral(model, t, x, float(h), q, g, q.abs_tol * den)
+              for h, p in zip(model.payoff.support, model.payoff.probs))
     return num / den
 
 
@@ -167,7 +180,7 @@ def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature, atom_inde
         cells = [(None, float(h), p) for h, p in zip(support, model.payoff.probs)]
     k = model.levy_drift_scale * t
     likes = [survival_kernel(model, t, x, h, q) if r is None
-             else bridge_levy_density(model, t, x, r, h, k, q) for r, h, _ in cells]
+             else bridge_levy_density(model, t, x, r - t, h, k, q) for r, h, _ in cells]
     weights = bayes_posterior(likes, [prior for _, _, prior in cells])
     weights = weights.tolist() if weights.ndim == 1 else weights
     return tuple((r, h, w) for (r, h, _), w in zip(cells, weights))
@@ -213,10 +226,13 @@ def option_value_default(model: MarketModel, t: float, strike: float,
 
     Sum of the revealed part, weighted by P(tau <= t), and the survival part,
     an x-integral of the positive part of the strike-adjusted survival kernels.
+    Under a density the kernels have cusps on the payoff rays, where default
+    times just after t pile up; an atom law's kernels are smooth.
     """
     law = _require_default_law(model)
+    rays = () if law.is_discrete else model.sigma * t * model.payoff.support
     survival = option_integral(model, t, strike, lambda h, x: survival_kernel(model, t, x, float(h), q),
-                               model.levy_drift_scale * t)
+                               model.levy_drift_scale * t, rays)
     p_tT = model.discount(t)
     revealed = law.cdf(t) * sum(max(p_tT * h - strike, 0.0) * p
                                 for h, p in zip(model.payoff.support, model.payoff.probs))

@@ -6,20 +6,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
-GAMMA = "gamma"
-POISSON = "poisson"
-DEGENERATE = "none"
+from .numerics import (DEGENERATE, GAMMA, POISSON, QuadratureError,
+                       integrate_panels)
 
 _PAYOFF_MASS_TOL = 1e-12
 _TAU_MASS_TOL = 1e-10
-# quadpack error bounds are conservative; request tighter than we enforce
-REQUEST_MARGIN = 0.25
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an integral cannot be resolved to the requested tolerance."""
+# a density's first panels shrink by this ratio toward the lower limit of its
+# integral, down to _GRADING ** (_GRADED_PANELS - 1) of the range
+_GRADING, _GRADED_PANELS = 0.5, 13
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,7 @@ class DefaultTimeLaw:
     Either a list of atoms or an absolutely continuous law described by a
     density.  Named constructors provide exact cdf/quantile functions; a raw
     density falls back to numerical integration and a tabulated inverse.
+    The density is called with arrays of default times (see ``integrate``).
     """
 
     horizon: float
@@ -165,7 +162,7 @@ class DefaultTimeLaw:
             if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > _TAU_MASS_TOL:
                 raise ValueError("atom weights must be positive and sum to 1")
         else:
-            mass, _ = integrate.quad(self.pdf, 0.0, self.horizon, limit=200)
+            mass = self.integrate(lambda r: 1.0, 0.0, self.horizon)
             if abs(mass - 1.0) > _TAU_MASS_TOL:
                 raise ValueError(f"density mass {mass} differs from 1")
 
@@ -209,7 +206,7 @@ class DefaultTimeLaw:
         width = hi - lo
 
         def pdf(r):
-            return 1.0 / width if lo < r <= hi else 0.0
+            return np.where((lo < r) & (r <= hi), 1.0 / width, 0.0)
 
         def cdf(t):
             return float(np.clip((t - lo) / width, 0.0, 1.0))
@@ -220,7 +217,8 @@ class DefaultTimeLaw:
         return cls(horizon, pdf=pdf, cdf_fn=cdf, ppf_fn=ppf, jumps=(lo, hi))
 
     @classmethod
-    def from_density(cls, pdf: Callable[[float], float], horizon: float) -> "DefaultTimeLaw":
+    def from_density(cls, pdf: Callable[[np.ndarray], np.ndarray], horizon: float) -> "DefaultTimeLaw":
+        """Law with density pdf on (0, horizon]; pdf maps an array of default times to their densities."""
         return cls(horizon, pdf=pdf)
 
     # -- queries -------------------------------------------------------------
@@ -237,31 +235,40 @@ class DefaultTimeLaw:
             return float(self.atom_weights[self.atom_times <= t].sum())
         if self.cdf_fn is not None:
             return self.cdf_fn(t)
-        val, _ = integrate.quad(self.pdf, 0.0, min(t, self.horizon), limit=200)
-        return float(np.clip(val, 0.0, 1.0))
+        return float(np.clip(self.integrate(lambda r: 1.0, 0.0, t), 0.0, 1.0))
 
-    def integrate(self, f: Callable[[float], float], lo: float, hi: float,
-                  rel_tol: float = 1e-10, abs_tol: float = 1e-13):
-        """Integral of f(r) against P_tau(dr) over the interval (lo, hi].
+    def integrate(self, f: Callable[..., np.ndarray], lo: float, hi: float,
+                  rel_tol: float = 1e-10, abs_tol: float = 1e-13, args=()):
+        """Integral of f(r - lo, *args) against P_tau(dr) over the interval (lo, hi], for every element.
 
-        Atoms sum f's values, which may be arrays.  A density is integrated by
-        adaptive quadrature at a quarter of the tolerance; QuadratureError is
-        raised when the error estimate exceeds rel_tol * |value| + abs_tol.
+        f is called with an array of times after lo, r - lo, on its last
+        axis, which keep their precision however close r comes to lo, and
+        returns one value per time.  ``args`` are arrays of per-element
+        arguments that broadcast together, as for ``numerics.integrate_panels``;
+        the result has their broadcast shape.  An atom law calls f once, on
+        its atoms in (lo, hi] and each argument with a trailing axis of
+        length 1.  A density is integrated by the adaptive Gauss-Kronrod
+        panel rule of ``integrate_panels``, which calls f only on the panels
+        and elements it still refines, at a quarter of the tolerance,
+        starting from panels split at its jumps and graded geometrically
+        toward lo, where integrands like the survival kernel's degenerate as
+        the law time r - lo vanishes; QuadratureError is raised when an
+        element's error estimate exceeds rel_tol * |value| + abs_tol.
         """
+        hi = min(hi, self.horizon)
         if hi <= lo:
             return 0.0
         if self.is_discrete:
             sel = (self.atom_times > lo) & (self.atom_times <= hi)
-            total = sum(w * f(r) for r, w in zip(self.atom_times[sel], self.atom_weights[sel]))
+            if not np.any(sel):
+                return 0.0
+            cols = (np.asarray(a, dtype=float)[..., None] for a in args)
+            total = (f(self.atom_times[sel] - lo, *cols) * self.atom_weights[sel]).sum(axis=-1)
             return float(total) if np.ndim(total) == 0 else total
-        top = min(hi, self.horizon)
-        points = [b for b in self.jumps if lo < b < top] or None
-        val, err = integrate.quad(lambda r: f(r) * self.pdf(r), lo, top, points=points,
-                                  epsabs=REQUEST_MARGIN * abs_tol, epsrel=REQUEST_MARGIN * rel_tol, limit=300)
-        if err > rel_tol * abs(val) + abs_tol:
-            raise QuadratureError(f"default-time integral error estimate {err:.3e} exceeds tolerance "
-                                  f"(value {val:.6e})")
-        return float(val)
+        span = hi - lo
+        graded = span * _GRADING ** np.arange(1.0, _GRADED_PANELS)
+        breaks = np.unique([0.0, *graded, *(b - lo for b in self.jumps if lo < b < hi), span])
+        return integrate_panels(lambda s, *a: f(s, *a) * self.pdf(lo + s), breaks, abs_tol, rel_tol, args)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.is_discrete:
@@ -272,7 +279,7 @@ class DefaultTimeLaw:
             return np.asarray(self.ppf_fn(u), dtype=float)
         # tabulated inverse for a raw density
         grid = np.linspace(0.0, self.horizon, 4097)
-        pdf_vals = np.array([self.pdf(r) for r in grid])
+        pdf_vals = np.broadcast_to(self.pdf(grid), grid.shape)
         cdf_vals = np.concatenate([[0.0], np.cumsum((pdf_vals[1:] + pdf_vals[:-1]) / 2.0 * np.diff(grid))])
         cdf_vals /= cdf_vals[-1]
         return np.interp(u, cdf_vals, grid)

@@ -69,23 +69,30 @@ def discount(model: MarketModel, t: float) -> float:
     return model.discount(t)
 
 
-def bridge_levy_density(model: MarketModel, t: float, x, r: float, h: float, k: float,
+def bridge_levy_density(model: MarketModel, t: float, x, s, h: float, k: float,
                         q: Quadrature):
-    """Density at x of sigma*t*h + a bridge of length r at time t + k * X_{r-t}.
+    """Density at x of sigma*t*h + a bridge of length t + s at time t + k * X_s.
 
-    The Gaussian bridge has variance t(r-t)/r; X_{r-t} is the reversed Levy
-    marginal of the model's noise law.  This is the one likelihood kernel of
-    both models: the maturity model is r = T, k = t/T, and the default-time
-    model is r = tau, k = mu*t.  x may be an array of observations; the
-    result then has its shape.
+    s is the time the bridge still runs after t.  The Gaussian bridge has
+    variance t s / (t + s); X_s is the reversed Levy marginal of the model's
+    noise law.  This is the one likelihood kernel of both models: the
+    maturity model is s = T - t, k = t/T, and the default-time model is
+    s = tau - t, k = mu*t, where s keeps its precision however close tau
+    comes to t.  x and s may be arrays that broadcast together; the result
+    then has their broadcast shape, and each element has its own variance
+    and law time.
     """
-    v = t * (r - t) / r
-    shift = np.asarray(x, dtype=float)[..., None] - model.sigma * t * h
+    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
+    v = t * s / (t + s)
+    shift = x[..., None] - model.sigma * t * h
     if k == 0.0:
         dens = gauss_density(v, shift[..., 0])
         return float(dens) if dens.ndim == 0 else dens
-    return integrate_levy(lambda y: gauss_density(v, shift - k * y), model.levy, r - t, q,
-                          points=shift / k + (np.sqrt(v) / abs(k)) * GAUSS_BREAKS)
+    # a subnormal k sends break points past the float range; integrate_levy drops them
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = shift / k + (np.sqrt(v)[..., None] / abs(k)) * GAUSS_BREAKS
+    return integrate_levy(lambda y: gauss_density(v[..., None], shift - k * y), model.levy, s, q,
+                          points=points)
 
 
 def likelihood_q(model: MarketModel, t: float, h: float, x,
@@ -99,7 +106,7 @@ def likelihood_q(model: MarketModel, t: float, h: float, x,
     T = model.maturity
     if not 0.0 < t < T:
         raise ValueError("need 0 < t < T")
-    return bridge_levy_density(model, t, x, T, h, t / T, q)
+    return bridge_levy_density(model, t, x, T - t, h, t / T, q)
 
 
 def _posterior_weights(model: MarketModel, t: float, x, q: Quadrature) -> np.ndarray:
@@ -267,11 +274,12 @@ def x_bracket(model: MarketModel, t: float, k: float) -> tuple[float, float]:
     return lo, hi
 
 
-def option_integral(model: MarketModel, t: float, strike: float, kernel, k: float) -> float:
+def option_integral(model: MarketModel, t: float, strike: float, kernel, k: float, kinks=()) -> float:
     """Integral over x of the positive part of sum_h p_h (P_t^T h - K) kernel(h, x).
 
     kernel(h, x) is the likelihood of the observations x given payoff h,
-    with Levy coefficient k (see x_bracket).  Both option routes share it.
+    with Levy coefficient k (see x_bracket), and ``kinks`` holds the x where
+    it is not smooth.  Both option routes share it.
     """
     if not 0.0 < t < model.maturity:
         raise ValueError("need 0 < t < T")
@@ -284,7 +292,7 @@ def option_integral(model: MarketModel, t: float, strike: float, kernel, k: floa
                    for h, p in zip(model.payoff.support, model.payoff.probs))
 
     lo, hi = x_bracket(model, t, k)
-    return positive_part_integral(g, lo, hi, _OPTION_ABS_TOL, _OPTION_REL_TOL)
+    return positive_part_integral(g, lo, hi, _OPTION_ABS_TOL, _OPTION_REL_TOL, kinks)
 
 
 def option_value(model: MarketModel, t: float, strike: float,
@@ -345,4 +353,4 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
             pts = inner_points(y - shrink * x + shrink * k * y1, shrink * k - u / T, x - k * y1, -k)
             return integrate_levy(lambda y2: core(y1[..., None], y2), law, s_end, inner_q, points=pts)
         num = integrate_levy(outer_f, law, s_inc, outer_q)
-    return num / bridge_levy_density(model, t, x, T, 0.0, k, q)
+    return num / bridge_levy_density(model, t, x, T - t, 0.0, k, q)

@@ -118,6 +118,22 @@ def test_option_command(tmp_path):
     assert value == pytest.approx(0.5, abs=1e-6)
 
 
+def test_option_command_exponential_default_poisson(tmp_path):
+    # a continuous default law with Poisson noise: every strike is valued, within seconds
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "T": 1.0, "sigma": 1.0, "mu": 0.5, "rate": {"kind": "flat", "r": 0.02},
+        "payoff": {"support": [0.0, 1.0], "probs": [0.5, 0.5]},
+        "levy": {"kind": "poisson", "rate": 1.0}, "default_law": {"kind": "exponential", "rate": 0.3}}))
+    values = []
+    for strike in ("0.0", "0.3", "0.6"):
+        out = tmp_path / f"opt-{strike}.csv"
+        assert main(["option", "--model", str(path), "--t", "0.5", "--K", strike, "-o", str(out)]) == 0
+        values.append(float(_read(out)[2].split(",")[2]))
+    assert values[0] == pytest.approx(np.exp(-0.02) * 0.5, abs=1e-6)  # P(0,T) E[H], as in A11a
+    assert values[0] >= values[1] >= values[2] >= 0.0
+
+
 def test_kernels_command(tmp_path):
     out = tmp_path / "kern.csv"
     rc = main(["kernels", "--kernel", "tilde", "--T", "1.0", "--points", "5",

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import gammaln
 
 from levybridge.default_pricing import (DefaultQuote, binary_bond_price_default,
                                         bond_price_default, default_indicator,
                                         likelihood_q_kappa, option_value_default,
-                                        posterior_tau_payoff,
+                                        posterior_tau_payoff, survival_kernel,
                                         survival_posterior_mean)
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
-from levybridge.numerics import (Quadrature, QuadratureError, gauss_density,
-                                 integrate_levy, poisson_pmf)
-from levybridge.pricing import bond_price
+from levybridge.numerics import (Quadrature, QuadratureError, gamma_density,
+                                 gauss_density, integrate_levy, poisson_pmf)
+from levybridge.pricing import bond_price, x_bracket
 
 GAMMA = LevyLaw.standard_gamma()
 BINARY = PayoffDistribution.binary(0.0, 1.0, 0.5)
@@ -120,6 +122,16 @@ def test_posterior_tau_continuous_law():
     law = DefaultTimeLaw.exponential_conditioned(0.1, 1.0)
     m = _model(law=law)
     assert posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: 1.0) == pytest.approx(1.0, rel=1e-8)
+
+
+def test_posterior_tau_sign_changing_g_under_a_density():
+    # one payoff atom, g centred near the posterior mean of tau: the numerator is
+    # small next to the integral of |g| times the likelihood, and must still resolve
+    m = _model(law=DefaultTimeLaw.exponential_conditioned(0.3, 1.0), payoff=PayoffDistribution([1.0], [1.0]))
+    mean = posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: r)
+    assert 0.5 < mean < 1.0
+    assert posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: r - mean) == pytest.approx(0.0, abs=1e-9)
+    assert posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: r - mean - 1e-7) == pytest.approx(-1e-7, abs=1e-9)
 
 
 def test_bond_price_default_branches():
@@ -244,12 +256,68 @@ def test_posterior_tau_revealed_branch_uses_caller_tolerance():
             posterior_tau_payoff(m, 0.5, x, lambda r, h: r, unreachable)
 
 
+def _reference_survival_kernel(model, t, x, h):
+    """Nested scipy quad over the default time, around the noise-law integral (a direct sum for Poisson)."""
+    law, k, d = model.default_law, model.levy_drift_scale * t, x - model.sigma * t * h
+
+    def density(r):
+        v, s = t * (r - t) / r, r - t
+        if model.levy.kind == "poisson":
+            n = np.arange(400.0)
+            return float(np.sum(poisson_pmf(s, model.levy.rate, n) * gauss_density(v, d - k * n)))
+        # y^(s-1) as quad's algebraic weight on (0, 1], the Gaussian's centre a break point after it
+        head, _ = integrate.quad(lambda y: gauss_density(v, d - k * y) * np.exp(-y - gammaln(s)), 0.0, 1.0,
+                                 weight="alg", wvar=(s - 1.0, 0.0), epsabs=0.0, epsrel=1e-12)
+        top = max(2.0, 2.0 * d / k + 20.0)
+        mid, _ = integrate.quad(lambda y: gauss_density(v, d - k * y) * gamma_density(s, y), 1.0, top,
+                                points=[d / k] if 1.0 < d / k < top else None, epsabs=0.0, epsrel=1e-12, limit=200)
+        far, _ = integrate.quad(lambda y: gauss_density(v, d - k * y) * gamma_density(s, y), top, np.inf,
+                                epsabs=0.0, epsrel=1e-12)
+        return head + mid + far
+
+    points = [b for b in law.jumps if t < b < model.maturity] or None
+    val, _ = integrate.quad(lambda r: density(r) * float(law.pdf(r)), t, model.maturity, points=points,
+                            epsabs=0.0, epsrel=1e-12, limit=500)
+    return val
+
+
+_CONTINUOUS_LAWS = {"exponential": DefaultTimeLaw.exponential_conditioned(0.3, 1.0),
+                    "uniform": DefaultTimeLaw.uniform(0.3, 0.97, horizon=1.0)}
+
+
+@pytest.mark.parametrize("levy, cases, spots", [
+    (LevyLaw.poisson(1.0), [(law, t) for law in _CONTINUOUS_LAWS for t in (0.05, 0.5, 0.95)],
+     [0.02, 0.3, 0.55, 0.8, 0.98]),
+    (GAMMA, [("exponential", 0.5)], [0.02, 0.55, 0.98]),  # the gamma reference is slow
+], ids=["poisson", "gamma"])
+def test_survival_kernel_against_nested_quad(levy, cases, spots):
+    for law, t in cases:
+        m = _model(law=_CONTINUOUS_LAWS[law], levy=levy, rate=0.02)
+        lo, hi = x_bracket(m, t, m.levy_drift_scale * t)
+        xs = lo + (hi - lo) * np.array(spots)
+        xs = np.where(np.abs(xs - m.sigma * t) < 0.05, xs + 0.1, xs)  # off the rays, as the survival branch is
+        xs = np.where(np.abs(xs) < 0.05, xs + 0.1, xs)
+        refs = np.array([[_reference_survival_kernel(m, t, x, h) for x in xs] for h in BINARY.support])
+        for h, ref in zip(BINARY.support, refs):
+            np.testing.assert_allclose(survival_kernel(m, t, xs, h), ref, rtol=1e-9, atol=0.0, err_msg=f"{law} t={t}")
+        prices = m.discount(t) * (refs[1] * 0.5) / (refs * 0.5).sum(axis=0)
+        for x, price in zip(xs, prices):
+            assert bond_price_default(m, t, x).price == pytest.approx(price, rel=1e-9, abs=0.0), (law, t, x)
+
+
 @st.composite
 def _default_observation(draw):
     n = draw(st.integers(2, 3))
     times = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n, unique=True))
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
-    law = DefaultTimeLaw.atoms(times, np.array(raw) / sum(raw), horizon=1.0)
+    law = draw(st.sampled_from(["atoms", "exponential", "uniform"]))
+    if law == "atoms":
+        law = DefaultTimeLaw.atoms(times, np.array(raw) / sum(raw), horizon=1.0)
+    elif law == "exponential":
+        law = DefaultTimeLaw.exponential_conditioned(10.0 * raw[0], 1.0)
+    else:  # at least 0.05 wide
+        lo = min(min(times[:2]), 0.9)
+        law = DefaultTimeLaw.uniform(lo, max(max(times[:2]), lo + 0.05), horizon=1.0)
     m = _model(law=law, mu=draw(st.floats(0.0, 2.0)), rate=draw(st.sampled_from([0.0, 0.03])))
     t = draw(st.floats(0.05, 0.95))
     on_ray = draw(st.booleans())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution, QuadratureError
 from levybridge.sampling import rng_for
@@ -96,9 +97,8 @@ def test_default_law_generic_density_sampling():
 
 def test_default_law_integral_raises_when_tolerance_unreachable():
     law = DefaultTimeLaw.exponential_conditioned(0.5, 1.0)
-    with pytest.warns(Warning):  # quad's own report, on top of the raise
-        with pytest.raises(QuadratureError):
-            law.integrate(lambda r: np.sin(1.0 / (r - 0.5)), 0.5, 1.0)
+    with pytest.raises(QuadratureError):
+        law.integrate(lambda s: np.sin(1.0 / s), 0.5, 1.0)  # s = r - 0.5
 
 
 def test_default_law_integral_over_uniform_jumps():
@@ -106,4 +106,25 @@ def test_default_law_integral_over_uniform_jumps():
     assert law.jumps == (0.3, 0.7)
     assert law.integrate(lambda r: r, 0.0, 1.0, rel_tol=1e-13, abs_tol=1e-15) == pytest.approx(0.5, rel=1e-13)
     atoms = DefaultTimeLaw.atoms([0.2, 0.6], [0.5, 0.5])
-    np.testing.assert_array_equal(atoms.integrate(lambda r: r * np.arange(3.0), 0.0, 1.0), [0.0, 0.4, 0.8])
+    # one element per argument value
+    np.testing.assert_array_equal(atoms.integrate(lambda r, c: r * c, 0.0, 1.0, args=(np.arange(3.0),)), [0.0, 0.4, 0.8])
+
+
+def test_default_law_density_integral_per_element_arguments():
+    # the elements converge in different rounds of bisection; the density and
+    # the integrand still see only default times in (lo, hi]
+    seen = []
+
+    def pdf(r):
+        seen.append(np.array(r))
+        return 2.0 * r
+
+    law = DefaultTimeLaw.from_density(pdf, 1.0)
+    seen.clear()
+    c = np.array([0.0, 1.0, 30.0, 300.0])
+    val = law.integrate(lambda s, c: np.cos(c * s), 0.2, 1.0, args=(c,))
+    expected = [integrate.quad(lambda r: np.cos(ci * (r - 0.2)) * 2.0 * r, 0.2, 1.0, limit=400, epsabs=1e-14)[0]
+                for ci in c]
+    np.testing.assert_allclose(val, expected, rtol=1e-9, atol=1e-12)
+    times = np.concatenate([r.ravel() for r in seen])
+    assert np.all((times > 0.2) & (times <= 1.0))

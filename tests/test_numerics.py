@@ -146,14 +146,31 @@ def test_integrate_levy_one_integral_per_element(law):
         assert v == pytest.approx(single, rel=1e-15)
 
 
+@pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
+def test_integrate_levy_law_time_per_element(law):
+    centres, times = np.array([[-1.0, 0.5], [2.0, 7.5]]), np.array([[1e-14, 0.02], [0.7, 3.0]])
+    vals = integrate_levy(lambda y: gauss_density(0.3, centres[..., None], y), law, times,
+                          points=centres[..., None] + np.array([-3.0, 0.0, 3.0]))
+    assert vals.shape == centres.shape
+    for c, t, v in zip(centres.ravel(), times.ravel(), vals.ravel()):
+        single = integrate_levy(lambda y: gauss_density(0.3, c, y), law, t, points=c + np.array([-3.0, 0.0, 3.0]))
+        assert v == pytest.approx(single, rel=1e-15)
+
+
+@pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
+def test_integrate_levy_no_elements(law):
+    centres = np.zeros((0,))
+    vals = integrate_levy(lambda y: gauss_density(0.3, centres[..., None], y), law, 0.7,
+                          points=centres[..., None] + np.array([-3.0, 0.0, 3.0]))
+    assert vals.shape == (0,)
+
+
 def test_positive_part_integral():
     val = positive_part_integral(lambda x: np.sin(x), 0.0, 3.0 * np.pi, 1e-12, 1e-10)
     assert val == pytest.approx(4.0, rel=1e-10)
     assert positive_part_integral(lambda x: 0.0 * x - 1.0, -1.0, 1.0, 1e-12, 1e-10) == 0.0
 
 
-@pytest.mark.xfail(raises=(RuntimeWarning, QuadratureError), strict=True,
-                   reason="known defect: the Jacobi head recurrence cancels in beta = a - 1 for tiny a")
 def test_gamma_law_time_below_1e_15():
     # X_a with a = 1e-16 is almost surely within 1e-12 of 0, so the integral is 1 to 1e-12
     assert integrate_levy(lambda y: np.exp(-y * y), GAMMA, 1e-16) == pytest.approx(1.0, abs=1e-12)

@@ -248,9 +248,26 @@ def test_binary_route_with_one_vanished_likelihood(x, revealed):
     assert binary_bond_price(m, 0.5, x) == revealed
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: integrate_levy misses the gamma bulk for a small Levy coefficient")
 def test_bridge_levy_density_small_levy_coefficient():
     # scipy.integrate.quad of the same Gaussian-gamma mixture (law time 0.3) gives 0.828100973655749
     m = _model()
-    assert bridge_levy_density(m, 0.5, 0.3, 0.8, 1.0, 1e-5, DEFAULT_QUADRATURE) == pytest.approx(
+    assert bridge_levy_density(m, 0.5, 0.3, 0.3, 1.0, 1e-5, DEFAULT_QUADRATURE) == pytest.approx(
         0.828100973655749, rel=1e-8)
+    # a subnormal coefficient leaves the Gaussian of k = 0, without an overflow warning
+    for levy in (GAMMA, POIS):
+        m = _model(levy=levy)
+        assert bridge_levy_density(m, 0.5, 0.3, 0.3, 1.0, 5e-324, DEFAULT_QUADRATURE) == pytest.approx(
+            bridge_levy_density(m, 0.5, 0.3, 0.3, 1.0, 0.0, DEFAULT_QUADRATURE), rel=1e-12)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])
+def test_bridge_levy_density_over_bridge_lengths(levy):
+    # one call over (x, s) pairs equals the scalar calls; empty observations give an empty array
+    m = _model(levy=levy)
+    xs, ss = np.array([[-0.4], [0.3], [1.2]]), np.array([1e-20, 1e-9, 0.1, 0.4, 0.5])
+    vals = bridge_levy_density(m, 0.5, xs, ss, 1.0, 0.25, DEFAULT_QUADRATURE)
+    assert vals.shape == (3, 5)
+    for (i, j), v in np.ndenumerate(vals):
+        assert v == pytest.approx(bridge_levy_density(m, 0.5, float(xs[i, 0]), float(ss[j]), 1.0, 0.25,
+                                                      DEFAULT_QUADRATURE), rel=1e-15)
+    assert bridge_levy_density(m, 0.5, np.zeros(0), 0.3, 1.0, 0.25, DEFAULT_QUADRATURE).shape == (0,)

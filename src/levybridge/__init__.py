@@ -6,7 +6,7 @@ from .model import MarketModel, RateCurve, model_from_dict, model_from_json
 from .numerics import (Quadrature, QuadratureError, gamma_density,
                        gauss_density, integrate_levy, parabolic_cylinder_D,
                        poisson_pmf, power_gauss_integral)
-from .pricing import (PriceQuote, binary_bond_price, bond_price, discount,
+from .pricing import (PriceQuote, binary_bond_price, bond_price,
                       gamma_closed_form_price, likelihood_q, option_value,
                       poisson_closed_form_price, posterior_payoff,
                       transition_density_psi)

@@ -87,23 +87,22 @@ def default_indicator(model: MarketModel, t: float, x: float) -> bool:
 
 def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: float,
                        q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """Observation likelihood against the reference measure dx + sum of payoff atoms.
+    """Observation likelihood given default time r and payoff h, against dx + the point masses on the rays.
 
-    For r <= t the observation is revealed: the density is the indicator that
-    the atom coordinates match (x = h = some atom).  For r > t it is the
-    Gaussian bridge of length r mixed over the scaled Levy marginal; the value
-    at an exact atom point is 0 there, where the atom part of the reference
-    measure takes over.
+    For r <= t default has happened, and the observation sits on the ray
+    sigma*t*h: the likelihood is 1 there and 0 elsewhere.  For r > t it is
+    the Gaussian bridge of length r mixed over the scaled Levy marginal,
+    except on the rays of the payoff atoms, where it is 0 and the point
+    masses of the reference measure take over.
     """
     if r <= 0.0 or r > model.maturity:
         raise ValueError("need r in (0, T]")
     if t <= 0.0:
         raise ValueError("need t > 0")
-    support = model.payoff.support
+    i = _match_atom(model, t, x)
     if r <= t:
-        match = any(x == h_i == h for h_i in support)
-        return 1.0 if match else 0.0
-    if any(x == h_i for h_i in support):
+        return 1.0 if i is not None and model.payoff.support[i] == h else 0.0
+    if i is not None:
         return 0.0
     return bridge_levy_density(model, t, x, r - t, h, model.levy_drift_scale * t, q)
 

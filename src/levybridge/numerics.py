@@ -118,27 +118,19 @@ _GK_WG[1::2] = [0.129484966168869693270611432679082, 0.2797053914892766679014677
                 0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
                 0.129484966168869693270611432679082]
 _LINE, _HEAD, _TAIL = 0, 1, 2
-# where the nodes of an empty interval sit, with no mass: a point of the gamma
-# law's support, so that an integrand of integrate_levy sees only points of its
-# range (integrate_panels never evaluates empty intervals)
+# the node of an unused slot in the node array of an integrand that holds its
+# elements in its closure, with no mass: a point of the gamma law's support, so
+# that an integrand of integrate_levy sees only points of its range
 _REST = 1.0
-
-
-def _jacobi_head(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """8- and 7-point Gauss-Jacobi rules for the weight s^(a-1) on (0, 1), per law time a.
-
-    Returns, with shape a.shape + (15,), the nodes of both rules side by side
-    and, per rule, its weights (summing to 1) padded with zeros at the other
-    rule's nodes.
-    """
-    u, inv = np.unique(a, return_inverse=True)
-    return tuple(r[inv.ravel()].reshape(a.shape + (15,)) for r in _jacobi_rules(u.tobytes()))
 
 
 @lru_cache(maxsize=32)
 def _jacobi_rules(times: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rules of ``_jacobi_head`` for a sorted set of distinct law times, one row each.
+    """8- and 7-point Gauss-Jacobi rules for the weight s^(a-1) on (0, 1), one row per law time a.
 
+    ``times`` holds a sorted set of distinct law times.  Returns, with one
+    row of 15 per time, the nodes of both rules side by side and, per rule,
+    its weights (summing to 1) padded with zeros at the other rule's nodes.
     Golub-Welsch on the Jacobi recurrence with alpha = 0 and beta = a - 1,
     written in a so that nothing cancels for tiny a; one batched symmetric
     eigensolve covers the set.  Cached by set, as repeated calls share their
@@ -167,234 +159,200 @@ def _jacobi_rules(times: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rules
 
 
-def _sum_nodes(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """g @ w over the node axis, as one matrix product whatever the element axes' shape.
-
-    A stacked product may round a panel differently as the element axes
-    change shape; one flat product keeps the default-time model's point law
-    at T bitwise equal to the maturity model (A13).
-    """
-    return (g.reshape(-1, 15) @ w).reshape(g.shape[:-1])
-
-
 class _GammaMeasure:
-    """The standard gamma law of shape a, a per element, with its head rules (``_jacobi_head``)."""
+    """Standard gamma laws of the sorted distinct shapes a, with their head rules (``_jacobi_rules``)."""
 
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-        self.head_nodes, self.w_hi, self.w_lo = _jacobi_head(self.a)
-        # per element, ready to broadcast against the node axis
-        self.a_col = self.a[..., None]
-        self.log_gamma = gammaln(self.a_col)
-        self.log_gamma_1 = gammaln(self.a_col + 1.0)
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.head_nodes, self.w_hi, self.w_lo = _jacobi_rules(a.tobytes())
+        self.log_gamma, self.log_gamma_1 = gammaln(a), gammaln(a + 1.0)
 
-
-def _full(x: np.ndarray, shape: tuple) -> np.ndarray:
-    """x broadcast to shape; x itself when it has that shape already, which is the common case."""
-    return x if x.shape == shape else np.broadcast_to(x, shape)
-
-
-def _expand(x: np.ndarray, ndim: int) -> np.ndarray:
-    """x with 1s inserted after its row axis, so that its element axes align right in ndim axes."""
-    return x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
+    def rows(self, table: np.ndarray, law: np.ndarray) -> np.ndarray:
+        """The rows of a head-rule table at the law indices ``law``; one law's row serves every index as it is."""
+        return table if self.a.size == 1 else table[law]
 
 
 class _Panels:
-    """15-node panels, one per row and element.
+    """Live 15-node panels in equal-length flat arrays, one entry per (element, panel) pair.
 
-    ``kind``, ``lo``, ``hi`` and ``base`` have a row axis followed by
-    element axes, and broadcast together.  A line panel integrates over
-    [lo, hi] by the 7/15 Gauss-Kronrod pair; a head panel over [0, hi] by the
-    Gauss-Jacobi pair of ``_jacobi_head``; a tail panel over u in [lo, hi]
-    by Gauss-Kronrod, with y = base + (1 + a) u / (1 - u).  ``law`` is the
-    gamma measure of shape a, None for Lebesgue measure.  Each element has
-    its own panels, so a row may hold a panel for some elements and an empty
-    interval for the others.
+    Entry i belongs to element ``elem[i]``, a flat index into the integral's
+    elements, and has law time ``measure.a[law[i]]``.  A line panel
+    integrates over [lo, hi] by the 7/15 Gauss-Kronrod pair; a head panel
+    over [0, hi] by the Gauss-Jacobi pair of ``_jacobi_rules``; a tail panel
+    over u in [lo, hi] by Gauss-Kronrod, with y = base + (1 + a) u / (1 - u).
+    ``measure`` is the gamma measure, None for Lebesgue measure.  ``val``,
+    ``err`` and ``mag`` hold each entry's rule once it is evaluated.
     """
 
-    def __init__(self, law, kind, lo, hi, base):
-        self.law, self.kind, self.lo, self.hi, self.base = law, kind, lo, hi, base
-        self.val = self.err = self.mag = None
+    _FIELDS = ("elem", "law", "kind", "lo", "hi", "base", "val", "err", "mag")
 
-    def nodes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes y and node masses (measure density times Jacobian) of the rows, shape (rows, *elements, 15).
+    def __init__(self, measure, elem, law, kind, lo, hi, base, val=None, err=None, mag=None):
+        self.measure = measure
+        self.elem, self.law, self.kind, self.lo, self.hi, self.base = elem, law, kind, lo, hi, base
+        self.val, self.err, self.mag = val, err, mag
 
-        The nodes of an empty interval are ``_REST`` and their mass is 0.
-        """
-        lo, hi, kind = self.lo[rows, ..., None], self.hi[rows, ..., None], self.kind[rows, ..., None]
+    @classmethod
+    def live(cls, measure, law, kind, lo, hi, base) -> "_Panels":
+        """The nonempty panels of element-major arrays (elements..., panels), which broadcast together."""
+        kind, lo, hi, base = np.broadcast_arrays(kind, lo, hi, base)
+        at = np.flatnonzero((hi > lo) | (kind == _HEAD))
+        elem = at // lo.shape[-1]
+        return cls(measure, elem, law.ravel()[elem], *(x.ravel()[at] for x in (kind, lo, hi, base)))
+
+    def _columns(self):
+        return [getattr(self, k) for k in self._FIELDS]
+
+    def take(self, at) -> "_Panels":
+        return _Panels(self.measure, *(None if x is None else x[at] for x in self._columns()))
+
+    def join(self, other: "_Panels") -> "_Panels":
+        return _Panels(self.measure, *(np.concatenate(x) for x in zip(self._columns(), other._columns())))
+
+    def halves(self) -> "_Panels":
+        """Both halves of every panel; a head panel becomes a head and a line panel."""
+        mid = (self.lo + self.hi) / 2.0
+        upper = np.where(self.kind == _HEAD, _LINE, self.kind)
+        return _Panels(self.measure, *(np.concatenate(x) for x in (
+            (self.elem, self.elem), (self.law, self.law), (self.kind, upper),
+            (self.lo, mid), (mid, self.hi), (self.base, self.base))))
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes y and node masses (measure density times Jacobian), one row of 15 per entry."""
+        lo, hi = self.lo[:, None], self.hi[:, None]
         half = (hi - lo) / 2.0
-        live = (hi > lo) | (kind == _HEAD)
-        y = np.where(live, (hi + lo) / 2.0, _REST) + half * _GK_X  # an empty interval has half = 0
-        if self.law is None:
+        y = (hi + lo) / 2.0 + half * _GK_X
+        m = self.measure
+        if m is None:
             return y, np.broadcast_to(half, y.shape)
-        entries = y.shape[:-1]
-
-        def per_entry(x, at):
-            # a law array that is one row serves every entry as it is
-            return x if x.ndim == 1 else _full(x, entries + x.shape[-1:])[at]
-
-        def pick(x, sel):
-            return x if x.ndim == 1 else x[sel]
-
-        # the gamma density times the Jacobian, on the nonempty panels only
-        at = np.nonzero(_full(live[..., 0], entries))
-        law, kind = self.law, _full(self.kind[rows], entries)[at]
-        tail, head = kind == _TAIL, kind == _HEAD
-        a, x = per_entry(law.a_col, at), y[at]
-        u = x[tail]
-        scale = 1.0 + pick(a, tail)
-        x[tail] = per_entry(self.base[rows, ..., None], at)[tail] + scale * u / (1.0 - u)
-        top = per_entry(hi, at)[head]
-        x[head] = top * pick(per_entry(law.head_nodes, at), head)
+        tail, head = np.flatnonzero(self.kind == _TAIL), np.flatnonzero(self.kind == _HEAD)
+        a = m.a[self.law][:, None]
+        u = y[tail]
+        scale = 1.0 + a[tail]
+        y[tail] = self.base[tail, None] + scale * u / (1.0 - u)
+        top, law = hi[head], self.law[head]
+        y[head] = top * m.rows(m.head_nodes, law)
         with np.errstate(divide="ignore", invalid="ignore"):  # head nodes: their mass is set below
-            mass = per_entry(half, at) * np.exp((a - 1.0) * np.log(x) - x - per_entry(law.log_gamma, at))
+            mass = half * np.exp((a - 1.0) * np.log(y) - y - m.log_gamma[self.law][:, None])
         mass[tail] *= scale / (1.0 - u) ** 2
         # the Jacobi weights carry y^(a-1); the head's mass is the rest of the density
-        mass[head] = np.exp(pick(a, head) * np.log(top) - pick(per_entry(law.log_gamma_1, at), head) - x[head])
-        y[at] = x
-        out = np.zeros(y.shape)
-        out[at] = mass
-        return y, out
+        mass[head] = np.exp(a[head] * np.log(top) - m.log_gamma_1[law][:, None] - y[head])
+        return y, mass
 
     def rule(self, g: np.ndarray) -> None:
-        """Value, error estimate and integral of |f| per panel from g = f * node mass."""
-        val = _sum_nodes(g, _GK_WK)
-        diff = np.abs(val - _sum_nodes(g, _GK_WG))
-        mag = _sum_nodes(np.abs(g), _GK_WK)
+        """Value, error estimate and integral of |f| per entry from g = f * node mass."""
+        val = g @ _GK_WK
+        diff = np.abs(val - g @ _GK_WG)
+        mag = np.abs(g) @ _GK_WK
         # QUADPACK's scaling of the Kronrod-Gauss difference
-        asc = _sum_nodes(np.abs(g - val[..., None] / 2.0), _GK_WK)
+        asc = np.abs(g - val[:, None] / 2.0) @ _GK_WK
         ratio = 200.0 * diff / np.where(asc > 0.0, asc, 1.0)
         err = np.where(asc > 0.0, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), diff)
-        head = np.nonzero(_full(_expand(self.kind, val.ndim) == _HEAD, val.shape))
-        if head[0].size:
-            gh = g[head]
-            w_hi, w_lo = (w if w.ndim == 1 else _full(w, g.shape)[head] for w in (self.law.w_hi, self.law.w_lo))
+        head = np.flatnonzero(self.kind == _HEAD)
+        if head.size:
+            gh, law = g[head], self.law[head]
+            w_hi, w_lo = self.measure.rows(self.measure.w_hi, law), self.measure.rows(self.measure.w_lo, law)
             val[head], mag[head] = (gh * w_hi).sum(axis=-1), (np.abs(gh) * w_hi).sum(axis=-1)
             err[head] = np.abs(val[head] - (gh * w_lo).sum(axis=-1))
         self.val, self.err, self.mag = val, np.maximum(err, 50.0 * _EPS * mag), mag
-
-    def select(self, rows: np.ndarray) -> "_Panels":
-        out = _Panels(self.law, self.kind[rows], self.lo[rows], self.hi[rows], self.base[rows])
-        out.val, out.err, out.mag = self.val[rows], self.err[rows], self.mag[rows]
-        return out
-
-    def active(self) -> np.ndarray:
-        """Whether each panel has a nonempty interval."""
-        return (self.hi > self.lo) | (self.kind == _HEAD)
 
     def divisible(self) -> np.ndarray:
         """Whether the halves of each panel's interval would still have distinct nodes."""
         return self.hi - self.lo > 1024.0 * _EPS * np.maximum(np.abs(self.lo), np.abs(self.hi))
 
-    def split(self, mark: np.ndarray) -> "_Panels":
-        """Halves of the marked panels, packed per element into new rows; the marked panels become empty.
+    def totals(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value, error estimate and integral of |f| for each of n elements.
 
-        A head panel becomes a head and a line panel.  An element's rows hold
-        only its own panels, so they never depend on other elements.
+        Each element's entries are summed in ascending order, so that a sum
+        does not depend on the order of the entries or on the other elements.
         """
-        at = np.nonzero(mark)
-        rank = (np.cumsum(mark, axis=0) - 1)[at]
-        count = int(rank.max()) + 1
-        kind, lo, hi, base = self.kind[at], self.lo[at], self.hi[at], self.base[at]
-        mid = (lo + hi) / 2.0
-        out = _Panels(self.law, *(np.zeros((2 * count,) + mark.shape[1:], dtype=x.dtype)
-                                  for x in (self.kind, self.lo, self.hi, self.base)))
-        out.kind[...] = _LINE
-        for half, parts in ((0, (kind, lo, mid)), (count, (np.where(kind == _HEAD, _LINE, kind), mid, hi))):
-            where = (rank + half,) + at[1:]
-            out.kind[where], out.lo[where], out.hi[where] = parts
-            out.base[where] = base
-        self.kind[at], self.hi[at] = _LINE, self.lo[at]
-        self.val[at] = self.err[at] = self.mag[at] = 0.0
-        return out
-
-    def join(self, other: "_Panels") -> "_Panels":
-        out = _Panels(self.law, *(np.concatenate([getattr(self, k), getattr(other, k)])
-                                  for k in ("kind", "lo", "hi", "base")))
-        out.val, out.err, out.mag = (np.concatenate([getattr(self, k), getattr(other, k)])
-                                     for k in ("val", "err", "mag"))
-        return out
-
-    def totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Value, error estimate and integral of |f| per element, summed in sorted order.
-
-        Sorting makes a sum independent of the empty panels and of the row order.
-        """
-        return tuple(np.sort(x, axis=0).sum(axis=0) for x in (self.val, self.err, self.mag))
+        out = []
+        for x in (self.val, self.err, self.mag):
+            order = np.argsort(x)
+            out.append(np.bincount(self.elem[order], x[order], minlength=n))
+        return tuple(out)
 
 
-def _evaluate(f, p: _Panels, size: int, args=None) -> int:
-    """Fill in the rule on every row of p, with as few calls of f as the temporary cap allows.
+def _evaluate(f, p: _Panels, shape: tuple, args=None) -> tuple[_Panels, tuple]:
+    """Fill in the rule on every entry of p, with as few calls of f as the temporary cap allows.
 
-    Rows go side by side on f's node axis.  ``size`` is the element count
-    known so far; the element count of f's output is returned.  With
-    ``args``, per-element arguments of f with p's element shape, f is called
-    only on p's nonempty intervals, their nodes as rows of 15 and each
-    argument at their elements as a column.
+    With ``args``, flat per-element arguments, f gets the entries' nodes as
+    rows of 15 and each argument at their elements as a column.  Otherwise f
+    holds its elements, of shape ``shape``, in its closure and gets one
+    element-major node array of that shape plus a node axis: the nodes of
+    each element's entries side by side, unused slots at ``_REST``.  Its
+    output may broadcast the elements to a larger shape, as on the first
+    round of integrate_levy, whose panels follow the law times and break
+    points only; each entry then serves every element it broadcasts to.
+    Returns the evaluated panels and the elements' shape.
     """
-    parts = []
-    live = p.active()
-    step = max(1, _MAX_TEMPORARY // (15 * max(size, 1)))
-    for i in range(0, p.lo.shape[0], step):
-        y, mass = p.nodes(slice(i, i + step))
-        rows = y.shape[0]
-        if args is not None:
-            at = np.nonzero(_full(live[i:i + step], y.shape[:-1]))
-            fy = np.zeros(y.shape)
-            fy[at] = f(y[at], *(a[at[1:]].reshape(-1, 1) for a in args))
-        else:
-            nodes = y.reshape(-1) if y.ndim == 2 else np.moveaxis(y, 0, -2).reshape(y.shape[1:-1] + (rows * 15,))
-            fy = np.asarray(f(nodes), dtype=float)
-            if fy.ndim == 1:
-                fy = fy.reshape(rows, 15)
-            elif fy.ndim:
-                fy = np.moveaxis(fy.reshape(fy.shape[:-1] + (rows, 15)), -2, 0)
-                mass = _expand(mass, fy.ndim)
-        with np.errstate(invalid="ignore"):
-            parts.append(np.where(mass > 0.0, fy * mass, 0.0))
-        size = max(size, int(np.prod(parts[-1].shape[1:-1], dtype=int)))
-        step = max(1, _MAX_TEMPORARY // (15 * max(size, 1)))
-    if len(parts) > 1:
-        shape = np.broadcast_shapes(*(g.shape[1:] for g in parts))
-        parts = [np.concatenate([np.broadcast_to(g, g.shape[:1] + shape) for g in parts])]
-    p.rule(parts[0])
-    return size
+    y, mass = p.nodes()
+    if args is not None:
+        step = _MAX_TEMPORARY // 15
+        fy = np.concatenate([f(y[i:i + step], *(a[p.elem[i:i + step], None] for a in args))
+                             for i in range(0, y.shape[0], step)])
+    else:
+        # slot[e, j] is the entry in element e's j-th slot, -1 where unused
+        count = np.bincount(p.elem, minlength=int(np.prod(shape, dtype=int)))
+        order = np.argsort(p.elem, kind="stable")
+        slot = np.full((count.size, count.max(initial=0)), -1)
+        slot[p.elem[order], np.arange(order.size) - np.repeat(np.cumsum(count) - count, count)] = order
+        at, elem, parts = [], [], []
+        j, size = 0, count.size
+        while j < slot.shape[1]:
+            cols = slot[:, j:j + max(1, _MAX_TEMPORARY // (15 * size))]
+            width = cols.shape[1]
+            nodes = np.full(cols.shape + (15,), _REST)
+            nodes[cols >= 0] = y[cols[cols >= 0]]
+            out = np.asarray(f(nodes.reshape(shape + (15 * width,))), dtype=float)
+            full = np.broadcast_shapes(out.shape, shape + (15 * width,))
+            cols = np.broadcast_to(cols.reshape(shape + (width,)), full[:-1] + (width,)).ravel()
+            used = np.flatnonzero(cols >= 0)
+            at.append(cols[used])
+            elem.append(used // width)
+            parts.append(np.broadcast_to(out, full).reshape(-1, 15)[used])
+            shape, size, j = full[:-1], cols.size // width, j + width
+        at = np.concatenate(at)
+        p, mass, fy = p.take(at), mass[at], np.concatenate(parts)
+        p.elem = np.concatenate(elem)
+    with np.errstate(invalid="ignore"):
+        p.rule(np.where(mass > 0.0, fy * mass, 0.0))
+    return p, shape
 
 
-def _refine(f, p: _Panels, goal, q: Quadrature, args=None):
+def _refine(f, p: _Panels, shape: tuple, goal, q: Quadrature, args=None):
     """Bisect panels until every element's error estimate meets goal(val, mag).
 
     An element that has not converged splits each of its panels holding more
-    than its share of the goal; each element's panels, and so its result,
-    do not depend on the other elements.  With ``args``, per-element
-    arguments of f, the first panels, which every element shares, go to f
-    in one call with the arguments broadcast against their nodes, and the
-    panels of later rounds as ``_evaluate`` passes them.  Returns value and
-    error estimate per element.
+    than its share of the goal; an element that splits nothing leaves the
+    store with its result.  Each element's panels, and so its result, do not
+    depend on the other elements.  With ``args``, per-element arguments of
+    f, the first panels, which every element shares, go to f in one call
+    with the arguments broadcast against their nodes, and the panels of
+    later rounds as ``_evaluate`` passes them.  Returns value and error
+    estimate per element.
     """
+    if p.elem.size == 0:
+        return np.zeros(shape), np.zeros(shape)
     first = f if args is None else lambda y: f(y, *(a[..., None] for a in args))
-    size = _evaluate(first, p, int(np.prod(p.lo.shape[1:], dtype=int)))
-    shape = p.val.shape
-    # every panel per element from here on, element axes of f's output included
-    p.kind, p.lo, p.hi, p.base = (np.array(_full(_expand(x, len(shape)), shape))
-                                  for x in (p.kind, p.lo, p.hi, p.base))
+    p, shape = _evaluate(first, p, shape)
+    n = int(np.prod(shape, dtype=int))
     if args is not None:
-        args = tuple(np.broadcast_to(a, shape[1:]) for a in args)
-    for _ in range(_MAX_ROUNDS):
-        val, err, mag = p.totals()
-        target = goal(val, mag)
-        count = p.active().sum(axis=0)
-        need = (err > target) & (count < q.max_subdivisions)
-        if not np.any(need):
-            break
-        mark = need & (p.err > target / count) & p.divisible()
+        args = tuple(np.broadcast_to(a, shape).ravel() for a in args)
+    val, err = np.zeros(n), np.zeros(n)
+    for round_ in range(_MAX_ROUNDS + 1):
+        v, e, m = p.totals(n)
+        target, count = goal(v, m), np.bincount(p.elem, minlength=n)
+        need = (e > target) & (count < q.max_subdivisions) & (round_ < _MAX_ROUNDS)
+        mark = need[p.elem] & (p.err > target[p.elem] / count[p.elem]) & p.divisible()
+        stays = np.zeros(n, dtype=bool)
+        stays[p.elem[mark]] = True
+        leaves = (count > 0) & ~stays
+        val[leaves], err[leaves] = v[leaves], e[leaves]
         if not np.any(mark):
             break
-        fresh = p.split(mark)
-        size = _evaluate(f, fresh, size, args)
-        p = p.select(np.any(p.active().reshape(p.lo.shape[0], -1), axis=1)).join(fresh)
-    val, err, _ = p.totals()
-    return val, err
+        fresh, _ = _evaluate(f, p.take(mark).halves(), shape, args)
+        p = p.take(stays[p.elem] & ~mark).join(fresh)
+    return val.reshape(shape), err.reshape(shape)
 
 
 def _check(val, err, q: Quadrature, what: str) -> None:
@@ -410,58 +368,65 @@ def _result(val):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _gamma_panels(law: _GammaMeasure, points) -> _Panels:
-    """Head, line panels between the sorted break points, and a mapped tail.
+def _gamma_panels(t: np.ndarray, points) -> tuple[_Panels, tuple]:
+    """Head, line panels between the sorted break points, and a mapped tail, per element of t and points.
 
     Where the caller's break points reach past the law's bulk, its end
     40 + 2a joins them, so that no panel spans the bulk unseen; break points
     that are not finite, or lie where the density underflows, are dropped.
+    Returns the panels and the shape of their elements.
     """
-    a = law.a
+    shape = t.shape if points is None else np.broadcast_shapes(t.shape, points.shape[:-1])
+    times, law = np.unique(t, return_inverse=True)
+    a = np.broadcast_to(t, shape)[..., None]
     if points is None:
-        edges = np.stack([np.ones_like(a), 1.0 + a])
+        edges = np.concatenate([np.ones_like(a), 1.0 + a], axis=-1)
     else:
-        pts = np.where(np.isfinite(points) & (points < (_GAMMA_UNDERFLOW + 2.0 * a)[..., None]), points, -np.inf)
-        low = np.min(pts, axis=-1)
+        pts = np.where(np.isfinite(points) & (points < _GAMMA_UNDERFLOW + 2.0 * a), points, -np.inf)
+        low = np.min(pts, axis=-1, keepdims=True)
         head = np.where(low > 0.0, np.minimum(1.0, low / 2.0), 1.0)
-        shape = np.broadcast_shapes(pts.shape[:-1], a.shape)
         end = _GAMMA_BULK_END + 2.0 * a
-        reach = np.max(pts, axis=-1) > end
-        if np.any(reach):
-            pts = np.concatenate([np.broadcast_to(pts, shape + pts.shape[-1:]),
-                                  np.broadcast_to(np.where(reach, end, -np.inf), shape)[..., None]], axis=-1)
-        pts = np.sort(pts, axis=-1)
-        edges = np.concatenate([np.broadcast_to(head, shape)[None],
-                                np.maximum(np.moveaxis(np.broadcast_to(pts, shape + pts.shape[-1:]), -1, 0), head)])
-    zero = np.zeros_like(edges[:1])
-    kind = np.array([_HEAD] + [_LINE] * (edges.shape[0] - 1) + [_TAIL]).reshape((-1,) + (1,) * (edges.ndim - 1))
-    return _Panels(law, kind, np.concatenate([zero, edges[:-1], zero]),
-                   np.concatenate([edges[:1], edges[1:], zero + 1.0]),
-                   np.concatenate([zero, zero.repeat(edges.shape[0] - 1, axis=0), edges[-1:]]))
+        reach = np.where(np.max(pts, axis=-1, keepdims=True) > end, end, -np.inf)
+        pts = np.sort(np.concatenate([pts, reach], axis=-1), axis=-1)
+        edges = np.concatenate([head, np.maximum(pts, head)], axis=-1)
+    zero = np.zeros_like(edges[..., :1])
+    kind = np.array([_HEAD] + [_LINE] * (edges.shape[-1] - 1) + [_TAIL])
+    panels = _Panels.live(_GammaMeasure(times), np.broadcast_to(law.reshape(t.shape), shape), kind,
+                          np.concatenate([zero, edges[..., :-1], zero], axis=-1),
+                          np.concatenate([edges, zero + 1.0], axis=-1),
+                          np.concatenate([np.zeros_like(edges), edges[..., -1:]], axis=-1))
+    return panels, shape
 
 
 def _poisson_sum(f, mu, points, q: Quadrature):
-    """Lattice sum over a window per element covering the pmf bulk and its break points.
+    """Lattice sum over a window per element that starts at the pmf bulk and grows past the summand's peak.
 
-    mu is the pmf's mean per element.  Past its peak a log-concave summand
-    shrinks at least geometrically with the ratio of its last two terms; an
-    element's window doubles until that tail bound meets the relative goal.
-    Break points that are not finite, or lie past the largest window, are dropped.
+    mu is the pmf's mean per element.  The summand, f times the pmf, is
+    log-concave, so it has one peak, between the pmf bulk and the other
+    factor's peak, which the break points surround.  An element's window
+    doubles while its last term exceeds its predecessor (the log-term's
+    first difference is still positive), and while it has seen only zeros,
+    its pmf has not underflowed and it ends before the farthest finite break
+    point.  Past the peak the terms shrink at least geometrically with the
+    ratio of the last two, and the window doubles until that tail bound
+    meets the relative goal.  So the window does not grow with the break
+    points' distance unless it holds nothing but zeros, and not past the
+    pmf's underflow even then.
     """
     log_mu, mean = np.log(mu)[..., None], mu[..., None]
 
-    def terms(n):
-        return f(n) * np.exp(n * log_mu - mean - gammaln(n + 1.0))
+    def pmf(n):
+        return np.exp(n * log_mu - mean - gammaln(n + 1.0))
 
-    top = mu + 10.0 * np.sqrt(mu) + 10.0
-    if points is not None:
-        top = np.maximum(top, np.max(np.where(np.isfinite(points) & (points < _MAX_LATTICE), points, -np.inf),
-                                     axis=-1) + 10.0)
-    stop, done = np.ceil(top) + 1.0, np.zeros(np.shape(top))
+    def terms(n):
+        return f(n) * pmf(n)
+
+    stop, done = np.asarray(np.ceil(mu + 10.0 * np.sqrt(mu) + 10.0) + 1.0), np.zeros(np.shape(mu))
+    reach = -np.inf if points is None else np.max(np.where(np.isfinite(points), points, -np.inf), axis=-1)
     total = mag = 0.0
     while True:
         fresh = done < stop
-        first = int(np.min(done[fresh])) if np.any(fresh) else 0
+        first = int(np.min(np.where(fresh, done, np.inf))) if np.any(fresh) else 0
         n = np.arange(first, int(np.max(stop, initial=first)), dtype=float)
         for idx in np.array_split(np.arange(n.size), max(1, n.size * np.size(total) // _MAX_TEMPORARY)):
             with np.errstate(invalid="ignore"):
@@ -471,7 +436,8 @@ def _poisson_sum(f, mu, points, q: Quadrature):
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = end / prev
             tail = np.where(end == 0.0, 0.0, np.where(rho < 1.0, end * rho / (1.0 - rho), np.inf))
-        grow = tail > REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)
+        unseen = (mag == 0.0) & (stop < reach) & (pmf(stop[..., None] - 1.0)[..., 0] > 0.0)
+        grow = (tail > REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)) | unseen
         if not np.any(grow) or np.max(stop) > _MAX_LATTICE:
             return total, np.maximum(tail, 50.0 * _EPS * mag)  # as for the panels, a roundoff floor
         done, stop = stop, np.where(grow, 2.0 * stop, stop)
@@ -482,8 +448,8 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
     """Integral of f(y) against the marginal law of X_t, for every element of f.
 
     f is called with an array y of nodes, nodes on the last axis, and must
-    broadcast over leading observation axes: it returns one value per node
-    and element.  The result has the elements' shape (a float when f has no
+    broadcast over leading element axes: it returns one value per node and
+    element.  The result has the elements' shape (a float when f has no
     leading axes).  The law time t is a float or an array with one time per
     element; it broadcasts over the elements like ``points``, which holds
     break points of the integrand, as for ``scipy.integrate.quad``: k per
@@ -492,12 +458,18 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
 
     Gamma integrals use a Gauss-Jacobi head that absorbs y^(t-1) at the
     origin, 7/15-point Gauss-Kronrod panels split at the break points and at
-    the law's own bulk, and a mapped tail; panels are bisected until every
-    element's error estimate is below a quarter of rel_tol times the
-    integral of |f|.  Poisson integrals sum one lattice window that covers
-    the pmf bulk and the break points, grown until a geometric tail bound
-    meets the same goal.  Raises QuadratureError when an element's error
-    estimate exceeds rel_tol * |value| + abs_tol.
+    the law's own bulk, and a mapped tail.  The panels of every element live
+    in one flat store of (element, panel) entries.  Each round bisects the
+    panels of the elements whose error estimate is above a quarter of
+    rel_tol times the integral of |f|, and an element leaves the store with
+    its result once it has converged.  Each round calls f once (more only
+    past a cap on the temporary) with a node array of the elements' shape:
+    each element's new nodes side by side, and a point of the law's support,
+    of no weight, in the slots an element does not use.  Poisson integrals
+    sum a lattice window per element from the pmf bulk past the summand's
+    peak, grown until a geometric tail bound meets the same goal.  Raises
+    QuadratureError when an element's error estimate exceeds
+    rel_tol * |value| + abs_tol.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
@@ -514,7 +486,7 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
         return REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)
 
     if law.kind == GAMMA:
-        val, err = _refine(f, _gamma_panels(_GammaMeasure(t), points), goal, q)
+        val, err = _refine(f, *_gamma_panels(t, points), goal, q)
     elif law.kind == POISSON:
         val, err = _poisson_sum(f, law.rate * t, points, q)
     else:  # pragma: no cover
@@ -528,16 +500,16 @@ def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=(
 
     ``args`` are arrays of per-element arguments that broadcast together;
     the result has their broadcast shape (a float when there are none).  f
-    returns one value per node, and is called with nodes on the last axis
-    and arguments with a trailing axis of length 1 that broadcast against
-    them: first the first panels' nodes, which every element shares, with
-    the whole arguments; then, for each round of bisection, only the panels
-    still being refined, their nodes as rows of 15 and each argument at
-    their elements as a column.  Every gap between consecutive break points
-    starts as one panel; each element's panels are bisected, many per call
-    of f, until its error estimate meets a quarter of
-    rel_tol * |value| + abs_tol.  Raises QuadratureError above the full
-    amount.
+    returns one value per node.  Every gap between consecutive break points
+    starts as one panel, and the first call of f gets the nodes of these
+    panels, which every element shares, on the last axis, with the whole
+    arguments, each with a trailing axis of length 1.  The panels then live
+    in one flat store of (element, panel) entries.  Each round bisects the
+    panels of the elements whose error estimate is above a quarter of
+    rel_tol * |value| + abs_tol, and calls f with the new entries' nodes as
+    rows of 15 and each argument at their elements as a column; an element
+    leaves the store with its result once it has converged.  Raises
+    QuadratureError above the full amount.
     """
     q = Quadrature(abs_tol, rel_tol)
 
@@ -550,7 +522,7 @@ def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=(
 
     lo, hi = breaks[:-1], breaks[1:]
     args = tuple(np.asarray(a, dtype=float) for a in args)
-    val, err = _refine(values, _Panels(None, np.full(lo.size, _LINE), lo, hi, 0.0 * lo), goal, q, args)
+    val, err = _refine(values, _Panels.live(None, np.zeros(1, dtype=int), _LINE, lo, hi, 0.0), (), goal, q, args)
     _check(val, err, q, "panel integral")
     return _result(val)
 

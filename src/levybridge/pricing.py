@@ -64,11 +64,6 @@ def bayes_posterior(likelihoods, priors) -> np.ndarray:
     return w / total
 
 
-def discount(model: MarketModel, t: float) -> float:
-    """P_t^T, the default-free zero-coupon bond price."""
-    return model.discount(t)
-
-
 def bridge_levy_density(model: MarketModel, t: float, x, s, h: float, k: float,
                         q: Quadrature):
     """Density at x of sigma*t*h + a bridge of length t + s at time t + k * X_s.

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
@@ -204,3 +206,25 @@ def test_price_command_impossible_observation_exits_1(tmp_path, capsys):
                  "--t", "0.8", "--x", "1.9", "-o", str(out)]) == 1
     assert not out.exists()
     assert "observation lies off the rays but P(tau > t) = 0" in capsys.readouterr().err
+
+
+def _golden():
+    here = os.path.join(os.path.dirname(__file__), "reference")
+    spec = importlib.util.spec_from_file_location("make_cli_golden", os.path.join(here, "make_cli_golden.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with open(module.OUT) as fh:
+        return module, json.load(fh)
+
+
+def test_cli_numbers_match_golden_table(tmp_path):
+    # tests/reference/make_cli_golden.py wrote the table; every number must hold to 1e-12 relative
+    module, table = _golden()
+    assert sorted(table) == sorted(name for name, _, _ in module.CASES)
+    for name, case in table.items():
+        got = module.run_case(case["model"], case["args"], str(tmp_path)).splitlines()
+        ref = case["csv"].splitlines()
+        assert got[0] == ref[0] and len(got) == len(ref), name
+        for g, r in zip(got[1:], ref[1:]):
+            np.testing.assert_allclose([float(v) for v in g.split(",")], [float(v) for v in r.split(",")],
+                                       rtol=1e-12, atol=0.0, err_msg=name)

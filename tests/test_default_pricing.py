@@ -14,7 +14,7 @@ from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
 from levybridge.numerics import (Quadrature, QuadratureError, gamma_density,
                                  gauss_density, integrate_levy, poisson_pmf)
-from levybridge.pricing import bond_price, x_bracket
+from levybridge.pricing import bond_price, bridge_levy_density, x_bracket
 
 GAMMA = LevyLaw.standard_gamma()
 BINARY = PayoffDistribution.binary(0.0, 1.0, 0.5)
@@ -52,11 +52,13 @@ def test_default_indicator_no_false_positives_mc():
 
 def test_likelihood_q_kappa_atom_branch():
     m = _model()
-    # atom coordinates: revealed observation matches the revealed payoff
-    assert likelihood_q_kappa(m, 0.75, 1.0, 0.7, 1.0) == 1.0
+    # revealed: the observation sits on the ray sigma*t*h of the revealed payoff
+    assert likelihood_q_kappa(m, 0.75, 0.75, 0.7, 1.0) == 1.0
     assert likelihood_q_kappa(m, 0.75, 0.0, 0.7, 0.0) == 1.0
-    assert likelihood_q_kappa(m, 0.75, 1.0, 0.7, 0.0) == 0.0
+    assert likelihood_q_kappa(m, 0.75, 0.75, 0.7, 0.0) == 0.0
+    assert likelihood_q_kappa(m, 0.75, 1.0, 0.7, 1.0) == 0.0  # the payoff value, off its ray
     assert likelihood_q_kappa(m, 0.75, 0.5, 0.7, 0.5) == 0.0  # 0.5 is not an atom
+    assert likelihood_q_kappa(m, 0.5, 0.5, 0.3, 1.0) == 1.0
     with pytest.raises(ValueError):
         likelihood_q_kappa(m, 0.5, 0.3, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -69,8 +71,13 @@ def test_likelihood_q_kappa_survival_branch():
     v = t * (r - t) / r
     expect = float(gauss_density(v, x - 1.0 * t * h))
     assert likelihood_q_kappa(m, t, x, r, h) == pytest.approx(expect, abs=1e-16)
-    # the continuous part vanishes exactly on the payoff atoms
-    assert likelihood_q_kappa(m, t, 1.0, r, h) == 0.0
+    # the continuous part vanishes exactly on the payoff rays sigma*t*h
+    assert likelihood_q_kappa(m, t, 0.5, r, h) == 0.0
+    assert likelihood_q_kappa(m, t, 0.0, r, h) == 0.0
+    # off the rays a payoff value is an observation like any other: the bridge-plus-Levy kernel
+    m = _model(mu=0.5)
+    kernel = bridge_levy_density(m, t, 1.0, r - t, h, 0.5 * t, Quadrature())
+    assert likelihood_q_kappa(m, t, 1.0, r, h) == kernel == pytest.approx(0.5518, abs=1e-4)
 
 
 def test_drift_scale_enters_only_through_product():

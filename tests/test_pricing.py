@@ -4,9 +4,9 @@ from scipy import integrate
 
 from levybridge.laws import LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
-from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density
+from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density, poisson_pmf
 from levybridge.pricing import (PriceQuote, bayes_posterior, binary_bond_price,
-                                bond_price, bridge_levy_density, discount, gamma_closed_form_price,
+                                bond_price, bridge_levy_density, gamma_closed_form_price,
                                 likelihood_q, option_value,
                                 poisson_closed_form_price, posterior_mean,
                                 posterior_payoff, transition_density_psi,
@@ -19,12 +19,6 @@ BINARY = PayoffDistribution.binary(0.0, 1.0, 0.5)
 
 def _model(levy=GAMMA, sigma=1.0, rate=0.0, payoff=BINARY):
     return MarketModel(1.0, sigma, 1.0, RateCurve.flat(rate), payoff, levy)
-
-
-def test_discount():
-    assert discount(_model(), 0.3) == 1.0
-    assert discount(_model(rate=0.05), 1.0) == 1.0
-    assert discount(_model(rate=0.05), 0.0) == pytest.approx(0.9512294245007140, abs=1e-15)
 
 
 def test_likelihood_rejects_bad_times():
@@ -258,6 +252,27 @@ def test_bridge_levy_density_small_levy_coefficient():
         m = _model(levy=levy)
         assert bridge_levy_density(m, 0.5, 0.3, 0.3, 1.0, 5e-324, DEFAULT_QUADRATURE) == pytest.approx(
             bridge_levy_density(m, 0.5, 0.3, 0.3, 1.0, 0.0, DEFAULT_QUADRATURE), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e-6, 1e-8])
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_poisson_kernel_small_levy_coefficient(k, h):
+    # the Gaussian's centre (x - sigma t h) / k lies far from the pmf bulk; a direct sum over the pmf
+    m = _model(levy=POIS)
+    t, s, x = 0.5, 0.3, 0.3
+    n = np.arange(60.0)
+    direct = np.sum(poisson_pmf(s, 1.0, n) * gauss_density(t * s / (t + s), x - t * h - k * n))
+    assert bridge_levy_density(m, t, x, s, h, k, DEFAULT_QUADRATURE) == pytest.approx(direct, rel=1e-9)
+
+
+def test_poisson_kernel_peak_past_a_bulk_of_zeros():
+    # at law time 0.02 the summand underflows over the whole pmf bulk and peaks near n = x / k; a direct sum
+    m = _model(levy=POIS)
+    t, s, k, xs = 0.5, 0.02, 0.5, np.array([6.0, 12.0, 12.3])
+    n = np.arange(80.0)
+    direct = np.sum(poisson_pmf(s, 1.0, n) * gauss_density(t * s / (t + s), xs[:, None] - k * n), axis=-1)
+    np.testing.assert_allclose(bridge_levy_density(m, t, xs, s, 0.0, k, DEFAULT_QUADRATURE), direct,
+                               rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])

@@ -108,8 +108,8 @@ def _cmd_density(args) -> int:
         else:
             ymin, ymax = args.ymin, args.ymax
         ys = np.linspace(ymin, ymax, args.points)
-        rows = [[float(y), pricing.transition_density_psi(model, args.t, args.u, args.x, float(y))]
-                for y in ys]
+        psi = pricing.transition_density_psi(model, args.t, args.u, args.x, ys)
+        rows = [[float(y), float(p)] for y, p in zip(ys, psi)]
         _write_csv(args.output, _config_of(args), ["y", "psi"], rows)
         return 0
     law = _levy_from_args(args)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import MarketModel
 from .numerics import DEFAULT_QUADRATURE, UNDERFLOW, Quadrature
-from .pricing import (bayes_posterior, binary_from_ratio, bridge_levy_density,
+from .pricing import (_atom_axis, bayes_posterior, binary_from_ratio, bridge_levy_density,
                       likelihood_ratio, option_integral, require_probability_vector)
 
 _RAY_TOL = 1e-9
@@ -107,32 +107,35 @@ def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: floa
     return bridge_levy_density(model, t, x, r - t, h, model.levy_drift_scale * t, q)
 
 
-def survival_kernel(model: MarketModel, t: float, x, h: float,
+def survival_kernel(model: MarketModel, t: float, x, h,
                     q: Quadrature = DEFAULT_QUADRATURE):
     """Integral of the bridge-plus-Levy density over default times in (t, T].
 
-    x may be an array of observations; the result then has its shape.  Each
-    call of the density covers many pairs of observation and default-time
-    node at once, each pair with its own law time.
+    x may be an array of observations, and h an array of payoffs that
+    broadcasts with it (the atoms on a leading axis); the result then has
+    their broadcast shape.  Each call of the density covers many elements
+    and default-time nodes at once, each pair with its own law time.
     """
     return _survival_integral(model, t, x, h, q)
 
 
-def _survival_integral(model: MarketModel, t: float, x, h: float, q: Quadrature, g=None,
+def _survival_integral(model: MarketModel, t: float, x, h, q: Quadrature, g=None,
                        abs_tol: float = UNDERFLOW):
     """Integral over default times r in (t, T] of g(r, h) times the bridge-plus-Levy density at x; g = 1 if None.
 
-    The likelihood (g None) is resolved relative to itself down to
-    underflow, as integrate_levy resolves the density's own integral.
+    x and h are per-element arguments of the default-time integral; with g,
+    h is one float, which g gets.  The likelihood (g None) is resolved
+    relative to itself down to underflow, as integrate_levy resolves the
+    density's own integral.
     """
     law = _require_default_law(model)
     k = model.levy_drift_scale * t
 
-    def f(s, x):
-        dens = bridge_levy_density(model, t, x, s, h, k, q)
+    def f(s, x, hs):
+        dens = bridge_levy_density(model, t, x, s, hs, k, q)
         return dens if g is None else g(t + s, h) * dens
 
-    return law.integrate(f, t, model.maturity, rel_tol=q.rel_tol, abs_tol=abs_tol, args=(x,))
+    return law.integrate(f, t, model.maturity, rel_tol=q.rel_tol, abs_tol=abs_tol, args=(x, h))
 
 
 def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
@@ -146,18 +149,21 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     returns one value per time; it may change sign.  The result is resolved
     to q.rel_tol relative plus q.abs_tol absolute: on the survival branch the
     numerator's absolute tolerance is q.abs_tol times the posterior mass.
+    The denominator takes every payoff atom in one call of the survival
+    kernel; the numerator integrates one atom at a time, since g gets one
+    float h.
     """
     i = _revealed_atom(model, t, x)
     law = model.default_law
     if i is not None:
         h_i = float(model.payoff.support[i])
         return law.integrate(lambda r: g(r, h_i), 0.0, t, rel_tol=q.rel_tol, abs_tol=q.abs_tol) / law.cdf(t)
-    den = sum(p * survival_kernel(model, t, x, float(h), q)
-              for h, p in zip(model.payoff.support, model.payoff.probs))
+    support, probs = model.payoff.support, model.payoff.probs
+    den = sum(p * kern for p, kern in zip(probs, survival_kernel(model, t, x, support, q)))
     if den <= 0.0 or not np.isfinite(den):
         raise ArithmeticError("survival posterior mass vanished")
     num = sum(p * _survival_integral(model, t, x, float(h), q, g, q.abs_tol * den)
-              for h, p in zip(model.payoff.support, model.payoff.probs))
+              for h, p in zip(support, probs))
     return num / den
 
 
@@ -177,9 +183,12 @@ def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature, atom_inde
                  for r, w in zip(law.atom_times, law.atom_weights) if r > t]
     else:
         cells = [(None, float(h), p) for h, p in zip(support, model.payoff.probs)]
-    k = model.levy_drift_scale * t
-    likes = [survival_kernel(model, t, x, h, q) if r is None
-             else bridge_levy_density(model, t, x, r - t, h, k, q) for r, h, _ in cells]
+    hs = _atom_axis([h for _, h, _ in cells], x)
+    if law.is_discrete:
+        rs = _atom_axis([r for r, _, _ in cells], x)
+        likes = bridge_levy_density(model, t, x, rs - t, hs, model.levy_drift_scale * t, q)
+    else:
+        likes = survival_kernel(model, t, x, hs, q)
     weights = bayes_posterior(likes, [prior for _, _, prior in cells])
     weights = weights.tolist() if weights.ndim == 1 else weights
     return tuple((r, h, w) for (r, h, _), w in zip(cells, weights))
@@ -213,10 +222,8 @@ def binary_bond_price_default(model: MarketModel, t: float, x: float,
     i = _revealed_atom(model, t, x)
     if i is not None:
         return model.discount(t) * float(model.payoff.support[i])
-    h0, h1 = model.payoff.support
-    ratio = likelihood_ratio(survival_kernel(model, t, x, float(h1), q),
-                             survival_kernel(model, t, x, float(h0), q))
-    return binary_from_ratio(model, t, ratio)
+    q0, q1 = survival_kernel(model, t, x, model.payoff.support, q)
+    return binary_from_ratio(model, t, likelihood_ratio(float(q1), float(q0)))
 
 
 def option_value_default(model: MarketModel, t: float, strike: float,
@@ -230,7 +237,7 @@ def option_value_default(model: MarketModel, t: float, strike: float,
     """
     law = _require_default_law(model)
     rays = () if law.is_discrete else model.sigma * t * model.payoff.support
-    survival = option_integral(model, t, strike, lambda h, x: survival_kernel(model, t, x, float(h), q),
+    survival = option_integral(model, t, strike, lambda h, x: survival_kernel(model, t, x, h, q),
                                model.levy_drift_scale * t, rays)
     p_tT = model.discount(t)
     revealed = law.cdf(t) * sum(max(p_tT * h - strike, 0.0) * p

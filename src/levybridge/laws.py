@@ -245,9 +245,10 @@ class DefaultTimeLaw:
         axis, which keep their precision however close r comes to lo, and
         returns one value per time.  ``args`` are arrays of per-element
         arguments that broadcast together, as for ``numerics.integrate_panels``;
-        the result has their broadcast shape.  An atom law calls f once, on
-        its atoms in (lo, hi] and each argument with a trailing axis of
-        length 1.  A density is integrated by the adaptive Gauss-Kronrod
+        the result has their broadcast shape (a float when there are none),
+        and is zero when (lo, hi] is empty or holds no atom.  An atom law
+        calls f once, on its atoms in (lo, hi] and each argument with a
+        trailing axis of length 1.  A density is integrated by the adaptive Gauss-Kronrod
         panel rule of ``integrate_panels``, which calls f only on the panels
         and elements it still refines, at a quarter of the tolerance,
         starting from panels split at its jumps and graded geometrically
@@ -256,12 +257,11 @@ class DefaultTimeLaw:
         element's error estimate exceeds rel_tol * |value| + abs_tol.
         """
         hi = min(hi, self.horizon)
-        if hi <= lo:
-            return 0.0
+        sel = (self.atom_times > lo) & (self.atom_times <= hi) if self.is_discrete else None
+        if hi <= lo or (sel is not None and not np.any(sel)):
+            zero = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in args)))
+            return float(zero) if zero.ndim == 0 else zero
         if self.is_discrete:
-            sel = (self.atom_times > lo) & (self.atom_times <= hi)
-            if not np.any(sel):
-                return 0.0
             cols = (np.asarray(a, dtype=float)[..., None] for a in args)
             total = (f(self.atom_times[sel] - lo, *cols) * self.atom_weights[sel]).sum(axis=-1)
             return float(total) if np.ndim(total) == 0 else total

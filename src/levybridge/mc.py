@@ -136,7 +136,9 @@ def conditional_histogram(builder, t: float, u: float, x: float, delta: float, b
 
     Bin edges cover the central (1 - 2*_HIST_MASS_CUT) mass of the density;
     the two outer bins are open-ended.  Per-bin comparison uses the binomial
-    standard error at the target probability.
+    standard error at the target probability.  ``density`` maps an array of
+    values to their densities; it is tabulated on 801 nodes of ``support`` in
+    one call.
     """
 
     def one(batch, size):
@@ -150,7 +152,7 @@ def conditional_histogram(builder, t: float, u: float, x: float, delta: float, b
         raise ArithmeticError("no paths landed in the conditioning window")
 
     ys = np.linspace(support[0], support[1], 801)
-    dens = np.array([density(y) for y in ys])
+    dens = np.asarray(density(ys), dtype=float)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(ys))])
     total = cdf[-1]
     lo = float(np.interp(_HIST_MASS_CUT * total, cdf, ys))

@@ -26,6 +26,8 @@ _ENDPOINT_SNAP = 1e-9
 _SERIES_TOL = 1e-16
 _VANISHED = "posterior mass vanished: observation too deep in the tails"
 _BRACKET_WIDTH = 12.0
+# pairs of y and outer node per inner integral of transition_density_psi, which bounds its temporaries
+_PSI_PAIRS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def bayes_posterior(likelihoods, priors) -> np.ndarray:
     return w / total
 
 
-def bridge_levy_density(model: MarketModel, t: float, x, s, h: float, k: float,
+def bridge_levy_density(model: MarketModel, t: float, x, s, h, k: float,
                         q: Quadrature):
     """Density at x of sigma*t*h + a bridge of length t + s at time t + k * X_s.
 
@@ -73,13 +75,14 @@ def bridge_levy_density(model: MarketModel, t: float, x, s, h: float, k: float,
     noise law.  This is the one likelihood kernel of both models: the
     maturity model is s = T - t, k = t/T, and the default-time model is
     s = tau - t, k = mu*t, where s keeps its precision however close tau
-    comes to t.  x and s may be arrays that broadcast together; the result
-    then has their broadcast shape, and each element has its own variance
-    and law time.
+    comes to t.  x, s and the payoff h may be arrays that broadcast
+    together; the result then has their broadcast shape, and each element
+    has its own variance and law time.  With the payoff atoms on a leading
+    axis of h (see ``_atom_axis``), one call gives every atom's likelihood.
     """
-    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
+    x, s, h = (np.asarray(a, dtype=float) for a in (x, s, h))
     v = t * s / (t + s)
-    shift = x[..., None] - model.sigma * t * h
+    shift = (x - model.sigma * t * h)[..., None]
     if k == 0.0:
         dens = gauss_density(v, shift[..., 0])
         return float(dens) if dens.ndim == 0 else dens
@@ -90,13 +93,21 @@ def bridge_levy_density(model: MarketModel, t: float, x, s, h: float, k: float,
                           points=points)
 
 
-def likelihood_q(model: MarketModel, t: float, h: float, x,
+def _atom_axis(values, x) -> np.ndarray:
+    """One value per payoff atom on a leading axis, in front of the axes of the observations x."""
+    values = np.asarray(values, dtype=float)
+    return values.reshape(values.shape + (1,) * np.ndim(x))
+
+
+def likelihood_q(model: MarketModel, t: float, h, x,
                  q: Quadrature = DEFAULT_QUADRATURE):
     """Density of the information value x at time t given payoff h.
 
     Gaussian bridge density of variance t(T-t)/T centred at sigma*t*h plus
     the scaled noise value (t/T) y, mixed over the reversed Levy marginal.
-    x may be an array of observations; the result then has its shape.
+    x may be an array of observations, and h an array of payoffs that
+    broadcasts with it (the atoms on a leading axis); the result then has
+    their broadcast shape.
     """
     T = model.maturity
     if not 0.0 < t < T:
@@ -105,7 +116,7 @@ def likelihood_q(model: MarketModel, t: float, h: float, x,
 
 
 def _posterior_weights(model: MarketModel, t: float, x, q: Quadrature) -> np.ndarray:
-    likes = [likelihood_q(model, t, h, x, q) for h in model.payoff.support]
+    likes = likelihood_q(model, t, _atom_axis(model.payoff.support, x), x, q)
     return bayes_posterior(likes, model.payoff.probs)
 
 
@@ -177,9 +188,8 @@ def binary_bond_price(model: MarketModel, t: float, x: float,
                       q: Quadrature = DEFAULT_QUADRATURE) -> float:
     """Two-atom specialization written through the likelihood ratio."""
     _require_binary(model)
-    h0, h1 = model.payoff.support
-    ratio = likelihood_ratio(likelihood_q(model, t, h1, x, q), likelihood_q(model, t, h0, x, q))
-    return binary_from_ratio(model, t, ratio)
+    q0, q1 = likelihood_q(model, t, model.payoff.support, x, q)
+    return binary_from_ratio(model, t, likelihood_ratio(float(q1), float(q0)))
 
 
 def gamma_closed_form_price(model: MarketModel, t: float, x: float,
@@ -274,17 +284,20 @@ def option_integral(model: MarketModel, t: float, strike: float, kernel, k: floa
 
     kernel(h, x) is the likelihood of the observations x given payoff h,
     with Levy coefficient k (see x_bracket), and ``kinks`` holds the x where
-    it is not smooth.  Both option routes share it.
+    it is not smooth.  It gets every payoff atom at once, on a leading axis
+    of h in front of the axes of x, and returns one row per atom.  Both
+    option routes share it.
     """
     if not 0.0 < t < model.maturity:
         raise ValueError("need 0 < t < T")
     if strike < 0.0:
         raise ValueError("strike must be nonnegative")
     p_tT = model.discount(t)
+    support, probs = model.payoff.support, model.payoff.probs
 
     def g(x):
-        return sum((p_tT * h - strike) * kernel(h, x) * p
-                   for h, p in zip(model.payoff.support, model.payoff.probs))
+        table = kernel(_atom_axis(support, x), x)
+        return sum((p_tT * h - strike) * row * p for h, p, row in zip(support, probs, table))
 
     lo, hi = x_bracket(model, t, k)
     return positive_part_integral(g, lo, hi, _OPTION_ABS_TOL, _OPTION_REL_TOL, kinks)
@@ -304,7 +317,7 @@ def option_value(model: MarketModel, t: float, strike: float,
 # -- transition density of the noise process -------------------------------------
 
 def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
-                           q: Quadrature = DEFAULT_QUADRATURE) -> float:
+                           q: Quadrature = DEFAULT_QUADRATURE):
     """Conditional density at y of the noise process at time u given value x at t.
 
     The numerator integrates, over the Levy increment y1 on (T-u, T-t] and the
@@ -313,18 +326,27 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
     the denominator is the unconditional density of x, bridge_levy_density
     at h = 0.  The inner quadrature variable is the one with the smaller law
     time; the tolerance budget is split 90/10 between inner and outer.
+
+    y may be an array: the result is a float for a scalar y and an array of
+    y's shape otherwise.  The outer integral runs over every y at once; the
+    inner one runs once per distinct pair of y and outer node in a round,
+    so the unused slots of an outer element, which all hold one node, cost
+    one inner integral between them.  The denominator, which does not
+    depend on y, is computed once.
     """
     T = model.maturity
     if not 0.0 < t < u < T:
         raise ValueError("need 0 < t < u < T")
+    y = np.asarray(y, dtype=float)
     law = model.levy
     vt = t * (T - t) / T
     bridge_var = (T - u) * (u - t) / (T - t)
     shrink = (T - u) / (T - t)
     s_inc = u - t
     s_end = T - u
+    k = t / T
 
-    def core(y1, y2):
+    def core(y1, y2, y):
         mean_t = (t / T) * (y1 + y2)
         return (gauss_density(bridge_var, y - (u / T) * y2, shrink * (x - mean_t))
                 * gauss_density(vt, x, mean_t))
@@ -336,16 +358,28 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
         return centre[..., None] + GAUSS_BREAKS / np.sqrt(prec)
 
     inner_q = q.scaled(0.9)
-    outer_q = q.scaled(0.1)
-    k = t / T
     if s_inc <= s_end:
-        def outer_f(y2):
+        s_outer = s_end
+
+        def inner(y, y2):
             pts = inner_points(y - (u / T) * y2 - shrink * x + shrink * k * y2, shrink * k, x - k * y2, -k)
-            return integrate_levy(lambda y1: core(y1, y2[..., None]), law, s_inc, inner_q, points=pts)
-        num = integrate_levy(outer_f, law, s_end, outer_q)
+            return integrate_levy(lambda y1: core(y1, y2[:, None], y[:, None]), law, s_inc, inner_q,
+                                  points=pts)
     else:
-        def outer_f(y1):
+        s_outer = s_inc
+
+        def inner(y, y1):
             pts = inner_points(y - shrink * x + shrink * k * y1, shrink * k - u / T, x - k * y1, -k)
-            return integrate_levy(lambda y2: core(y1[..., None], y2), law, s_end, inner_q, points=pts)
-        num = integrate_levy(outer_f, law, s_inc, outer_q)
+            return integrate_levy(lambda y2: core(y1[:, None], y2, y[:, None]), law, s_end, inner_q,
+                                  points=pts)
+
+    def outer_f(z):
+        ys, z = np.broadcast_arrays(y[..., None], z)
+        # the distinct (y, z) pairs, as complex numbers y + iz
+        pairs, at = np.unique(ys.ravel() + 1j * z.ravel(), return_inverse=True)
+        chunks = (pairs[i:i + _PSI_PAIRS] for i in range(0, max(pairs.size, 1), _PSI_PAIRS))
+        vals = np.concatenate([inner(c.real, c.imag) for c in chunks])
+        return vals[at].reshape(z.shape)
+
+    num = integrate_levy(outer_f, law, s_outer, q.scaled(0.1))
     return num / bridge_levy_density(model, t, x, T - t, 0.0, k, q)

@@ -3,11 +3,14 @@
     PYTHONPATH=src python tests/reference/make_cli_golden.py
 
 Each case runs ``levybridge.cli.main`` in-process on a model document and
-stores the CSV text it writes.  tests/test_cli_golden.py runs the same cases
-and compares every number to 1e-12 relative, so a change of the numerics that
+stores the CSV text it writes.  tests/test_cli.py runs the same cases and
+compares every number to 1e-12 relative, so a change of the numerics that
 moves a CLI value by more shows up.  The table was generated before the panel
-engine moved to a flat store of live panels; regenerate it only for a change
-that is meant to move the numbers, and say by how much.
+engine moved to a flat store of live panels; the psi case at (t, u) =
+(0.1, 0.8) and the atom-default price case were added from the code before
+the payoff atoms and psi's y values became element axes of one engine call.
+Regenerate it only for a change that is meant to move the numbers, and say
+by how much.
 """
 
 import json
@@ -42,6 +45,9 @@ CASES = [
     ("price-exp-default-gamma", "exp-default-gamma", ["price", "--t", "0.5", "--x", "0.4"]),
     ("density-psi-gamma", "gamma", ["density", "--which", "psi", "--t", "0.3", "--u", "0.6",
                                     "--x", "0.2", "--points", "5"]),
+    ("density-psi-gamma-late", "gamma", ["density", "--which", "psi", "--t", "0.1", "--u", "0.8",
+                                         "--x", "0.2", "--points", "5"]),
+    ("price-atom-default", "atom-default", ["price", "--t", "0.5", "--x", "0.4"]),
 ]
 
 

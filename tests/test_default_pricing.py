@@ -346,3 +346,19 @@ def test_default_routes_agree_or_raise_together(case):
     p = m.discount(t)
     assert min(BINARY.support) * p - 1e-12 <= quote.price <= max(BINARY.support) * p + 1e-12
     assert binary_bond_price_default(m, t, x) == pytest.approx(quote.price, abs=1e-12)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, LevyLaw.poisson(1.0), LevyLaw.degenerate()], ids=["gamma", "poisson", "none"])
+def test_survival_kernel_over_payoff_atoms(levy):
+    # one call with the payoff atoms on a leading axis equals the per-atom calls
+    payoff = PayoffDistribution(np.array([0.0, 0.4, 1.0]), np.array([0.2, 0.3, 0.5]))
+    m = _model(levy=levy, payoff=payoff)
+    xs = np.array([-0.3, 0.1, 0.45, 1.1])
+    vals = survival_kernel(m, 0.5, xs, payoff.support[:, None])
+    assert vals.shape == (3, 4)
+    for h, row in zip(payoff.support, vals):
+        np.testing.assert_allclose(row, survival_kernel(m, 0.5, xs, float(h)), rtol=1e-15, atol=0.0)
+    # every default atom before t: zeros of the elements' shape
+    early = _model(law=TAU_EARLY, levy=levy, payoff=payoff)
+    vals = survival_kernel(early, 0.5, xs[:3], payoff.support[:, None])
+    assert vals.shape == (3, 3) and not np.any(vals)

@@ -128,3 +128,19 @@ def test_default_law_density_integral_per_element_arguments():
     np.testing.assert_allclose(val, expected, rtol=1e-9, atol=1e-12)
     times = np.concatenate([r.ravel() for r in seen])
     assert np.all((times > 0.2) & (times <= 1.0))
+
+
+def test_default_law_integral_off_the_mass_is_zero_of_the_arguments_shape():
+    atoms = DefaultTimeLaw.atoms([0.2, 0.3], [0.5, 0.5], horizon=1.0)
+    density = DefaultTimeLaw.exponential_conditioned(0.3, 1.0)
+    args = (np.arange(3.0), np.ones((2, 1)))
+
+    def f(s, a, b):
+        return s * a * b
+
+    # empty intervals under both kinds of law, and an interval that holds no atom
+    for law, lo, hi in [(atoms, 0.5, 0.5), (atoms, 0.6, 0.4), (density, 0.7, 0.7), (atoms, 0.3, 1.0)]:
+        val = law.integrate(f, lo, hi, args=args)
+        assert val.shape == (2, 3) and not np.any(val)
+        val = law.integrate(lambda s: s, lo, hi)
+        assert isinstance(val, float) and val == 0.0

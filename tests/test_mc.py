@@ -73,9 +73,9 @@ def test_histogram_wide_window_recovers_marginal():
     T, u = 1.0, 0.6
     b = grid_builder("zeta", T, 10, levy=GAMMA)
 
-    def marginal(y):
+    def marginal(y):  # y is the array of the histogram's tabulation nodes
         vu = u * (T - u) / T
-        return integrate_levy(lambda w: gauss_density(vu, y, (u / T) * w), GAMMA, T - u)
+        return integrate_levy(lambda w: gauss_density(vu, y[..., None], (u / T) * w), GAMMA, T - u)
 
     reports = conditional_histogram(b, 0.3, u, 0.0, 100.0, 20, 400_000, 11,
                                     marginal, (-2.5, 3.5))

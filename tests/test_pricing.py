@@ -286,3 +286,30 @@ def test_bridge_levy_density_over_bridge_lengths(levy):
         assert v == pytest.approx(bridge_levy_density(m, 0.5, float(xs[i, 0]), float(ss[j]), 1.0, 0.25,
                                                       DEFAULT_QUADRATURE), rel=1e-15)
     assert bridge_levy_density(m, 0.5, np.zeros(0), 0.3, 1.0, 0.25, DEFAULT_QUADRATURE).shape == (0,)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS, LevyLaw.degenerate()], ids=["gamma", "poisson", "none"])
+def test_bridge_levy_density_over_payoff_atoms(levy):
+    # one call with the payoff atoms on a leading axis equals the per-atom calls
+    m = _model(levy=levy)
+    hs, xs = np.array([0.0, 0.4, 1.0]), np.array([-0.3, 0.2, 0.45, 1.1])
+    vals = bridge_levy_density(m, 0.5, xs, 0.5, hs[:, None], 0.5, DEFAULT_QUADRATURE)
+    assert vals.shape == (3, 4)
+    for h, row in zip(hs, vals):
+        np.testing.assert_allclose(row, bridge_levy_density(m, 0.5, xs, 0.5, float(h), 0.5, DEFAULT_QUADRATURE),
+                                   rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(likelihood_q(m, 0.3, hs, 0.2), [likelihood_q(m, 0.3, float(h), 0.2) for h in hs],
+                               rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("t, u", [(0.3, 0.6), (0.1, 0.8)], ids=["inner-increment", "inner-terminal"])
+def test_psi_over_an_array_of_y(t, u):
+    # (0.3, 0.6) integrates the increment on (T-u, T-t] inside, (0.1, 0.8) the terminal piece
+    m = _model()
+    ys = np.array([[-0.3, 0.2], [0.7, 1.6]])
+    vals = transition_density_psi(m, t, u, 0.4, ys)
+    assert vals.shape == (2, 2)
+    np.testing.assert_allclose(vals.ravel(), [transition_density_psi(m, t, u, 0.4, float(y)) for y in ys.ravel()],
+                               rtol=1e-15, atol=0.0)
+    assert transition_density_psi(m, t, u, 0.4, np.zeros(0)).shape == (0,)
+    assert isinstance(transition_density_psi(m, t, u, 0.4, 0.2), float)

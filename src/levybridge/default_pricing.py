@@ -183,12 +183,13 @@ def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature, atom_inde
                  for r, w in zip(law.atom_times, law.atom_weights) if r > t]
     else:
         cells = [(None, float(h), p) for h, p in zip(support, model.payoff.probs)]
-    hs = _atom_axis([h for _, h, _ in cells], x)
     if law.is_discrete:
-        rs = _atom_axis([r for r, _, _ in cells], x)
-        likes = bridge_levy_density(model, t, x, rs - t, hs, model.levy_drift_scale * t, q)
+        # one call per cell, as pricing._posterior_weights makes one per atom, so that a
+        # point default at T gives the maturity model's bond price bit for bit
+        k = model.levy_drift_scale * t
+        likes = [bridge_levy_density(model, t, x, r - t, h, k, q) for r, h, _ in cells]
     else:
-        likes = survival_kernel(model, t, x, hs, q)
+        likes = survival_kernel(model, t, x, _atom_axis([h for _, h, _ in cells], x), q)
     weights = bayes_posterior(likes, [prior for _, _, prior in cells])
     weights = weights.tolist() if weights.ndim == 1 else weights
     return tuple((r, h, w) for (r, h, _), w in zip(cells, weights))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import MarketModel
 from .numerics import DEFAULT_QUADRATURE, UNDERFLOW, Quadrature
-from .pricing import (_atom_axis, bayes_posterior, binary_from_ratio, bridge_levy_density,
+from .pricing import (bayes_posterior, binary_from_ratio, bridge_levy_density,
                       likelihood_ratio, option_integral, require_probability_vector)
 
 _RAY_TOL = 1e-9
@@ -183,13 +183,9 @@ def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature, atom_inde
                  for r, w in zip(law.atom_times, law.atom_weights) if r > t]
     else:
         cells = [(None, float(h), p) for h, p in zip(support, model.payoff.probs)]
-    if law.is_discrete:
-        # one call per cell, as pricing._posterior_weights makes one per atom, so that a
-        # point default at T gives the maturity model's bond price bit for bit
-        k = model.levy_drift_scale * t
-        likes = [bridge_levy_density(model, t, x, r - t, h, k, q) for r, h, _ in cells]
-    else:
-        likes = survival_kernel(model, t, x, _atom_axis([h for _, h, _ in cells], x), q)
+    k = model.levy_drift_scale * t
+    likes = [survival_kernel(model, t, x, h, q) if r is None
+             else bridge_levy_density(model, t, x, r - t, h, k, q) for r, h, _ in cells]
     weights = bayes_posterior(likes, [prior for _, _, prior in cells])
     weights = weights.tolist() if weights.ndim == 1 else weights
     return tuple((r, h, w) for (r, h, _), w in zip(cells, weights))

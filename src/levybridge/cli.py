@@ -33,14 +33,6 @@ def _write_csv(output: str | None, config: dict, header: list[str], rows) -> Non
             fh.write(text)
 
 
-def _levy_from_args(args) -> LevyLaw:
-    if args.levy == "gamma":
-        return LevyLaw.standard_gamma()
-    if args.levy == "poisson":
-        return LevyLaw.poisson(args.lam)
-    return LevyLaw.degenerate()
-
-
 def _default_model(args) -> MarketModel:
     # binary payoff with rare exponential default: a sensible demo setup
     return MarketModel(
@@ -49,7 +41,7 @@ def _default_model(args) -> MarketModel:
         levy_drift_scale=args.mu,
         rate=RateCurve.flat(0.0),
         payoff=PayoffDistribution.binary(0.0, 1.0, 0.5),
-        levy=_levy_from_args(args),
+        levy=LevyLaw.named(args.levy, args.lam),
         default_law=DefaultTimeLaw.exponential_conditioned(0.1, args.T),
     )
 
@@ -64,7 +56,7 @@ def _cmd_simulate(args) -> int:
     grid = TimeGrid.uniform(args.T, args.steps)
     n = args.paths
     seed = args.seed
-    source = _load_model(args) if args.process in ("eta", "kappa") else _levy_from_args(args)
+    source = _load_model(args) if args.process in ("eta", "kappa") else LevyLaw.named(args.levy, args.lam)
     vals = PROCESS_SAMPLERS[args.process](grid, source, seed, n, 0)
     header = ["t"] + [f"path_{i}" for i in range(n)]
     rows = ([float(t)] + [float(v) for v in vals[:, k]] for k, t in enumerate(grid.points))
@@ -112,7 +104,7 @@ def _cmd_density(args) -> int:
         rows = [[float(y), float(p)] for y, p in zip(ys, psi)]
         _write_csv(args.output, _config_of(args), ["y", "psi"], rows)
         return 0
-    law = _levy_from_args(args)
+    law = LevyLaw.named(args.levy, args.lam)
     if law.kind == "poisson":
         n_hi = int(law.tail_quantile(args.t, 1e-12))
         rows = [[float(k), poisson_pmf(args.t, law.rate, k)] for k in range(n_hi + 1)]
@@ -148,6 +140,14 @@ def _config_of(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "output") and v is not None}
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: nan and infinities are usage errors."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="levybridge",
                                      description="Bridge-with-Levy-pinning simulation and pricing")
@@ -161,27 +161,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", required=True,
                    choices=["brownian", "bridge", "bar-beta", "tilde-beta", "zeta", "eta", "kappa"])
     p.add_argument("--levy", choices=["gamma", "poisson", "none"], default="gamma")
-    p.add_argument("--lam", type=float, default=1.0, help="Poisson rate")
-    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--lam", type=_finite_float, default=1.0, help="Poisson rate")
+    p.add_argument("--T", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=256)
     p.add_argument("--paths", type=int, default=8)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--mu", type=_finite_float, default=1.0)
     p.add_argument("--model", default=None, help="model JSON (eta/kappa payoff and default law)")
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("price", help="bond price at one (t, x)")
     p.add_argument("--model", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     common(p)
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("option", help="bond option value at exercise time t and strike K")
     p.add_argument("--model", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--K", type=_finite_float, required=True)
     common(p)
     p.set_defaults(func=_cmd_option)
 
@@ -189,22 +189,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["psi", "levy"], default="psi")
     p.add_argument("--model", default=None)
     p.add_argument("--levy", choices=["gamma", "poisson", "none"], default="gamma")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.3)
-    p.add_argument("--u", type=float, default=0.6)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--ymin", type=float, default=None)
-    p.add_argument("--ymax", type=float, default=None)
+    p.add_argument("--lam", type=_finite_float, default=1.0)
+    p.add_argument("--T", type=_finite_float, default=1.0)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--mu", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=0.3)
+    p.add_argument("--u", type=_finite_float, default=0.6)
+    p.add_argument("--x", type=_finite_float, default=0.0)
+    p.add_argument("--ymin", type=_finite_float, default=None)
+    p.add_argument("--ymax", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=201)
     common(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("kernels", help="tabulate a covariance kernel on a lattice")
     p.add_argument("--kernel", choices=["bar", "tilde"], required=True)
-    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--T", type=_finite_float, default=1.0)
     p.add_argument("--points", type=int, default=21)
     common(p)
     p.set_defaults(func=_cmd_kernels)

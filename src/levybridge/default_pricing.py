@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import MarketModel
 from .numerics import DEFAULT_QUADRATURE, UNDERFLOW, Quadrature
-from .pricing import (bayes_posterior, binary_from_ratio, bridge_levy_density,
+from .pricing import (_atom_axis, _require_binary, bayes_posterior, binary_from_ratio, bridge_levy_density,
                       likelihood_ratio, option_integral, require_probability_vector)
 
 _RAY_TOL = 1e-9
@@ -181,11 +181,12 @@ def _joint_rows(model: MarketModel, t: float, x: float, q: Quadrature, atom_inde
     if law.is_discrete:
         cells = [(float(r), float(h), p * w) for h, p in zip(support, model.payoff.probs)
                  for r, w in zip(law.atom_times, law.atom_weights) if r > t]
+        # one call over the (payoff atom, later default atom) cells, on a leading axis
+        likes = bridge_levy_density(model, t, x, _atom_axis([r - t for r, _, _ in cells], x),
+                                    _atom_axis([h for _, h, _ in cells], x), model.levy_drift_scale * t, q)
     else:
         cells = [(None, float(h), p) for h, p in zip(support, model.payoff.probs)]
-    k = model.levy_drift_scale * t
-    likes = [survival_kernel(model, t, x, h, q) if r is None
-             else bridge_levy_density(model, t, x, r - t, h, k, q) for r, h, _ in cells]
+        likes = survival_kernel(model, t, x, _atom_axis(support, x), q)
     weights = bayes_posterior(likes, [prior for _, _, prior in cells])
     weights = weights.tolist() if weights.ndim == 1 else weights
     return tuple((r, h, w) for (r, h, _), w in zip(cells, weights))
@@ -214,8 +215,7 @@ def bond_price_default(model: MarketModel, t: float, x: float,
 def binary_bond_price_default(model: MarketModel, t: float, x: float,
                               q: Quadrature = DEFAULT_QUADRATURE) -> float:
     """Two-atom defaultable bond through the survival likelihood ratio."""
-    if not model.payoff.is_binary:
-        raise ValueError("this route needs a two-atom payoff")
+    _require_binary(model)
     i = _revealed_atom(model, t, x)
     if i is not None:
         return model.discount(t) * float(model.payoff.support[i])

@@ -33,8 +33,13 @@ class LevyLaw:
     def __post_init__(self):
         if self.kind not in (GAMMA, POISSON, DEGENERATE):
             raise ValueError(f"unknown Levy law kind {self.kind!r}")
-        if self.kind == POISSON and self.rate <= 0.0:
-            raise ValueError("Poisson rate must be positive")
+        if not np.isfinite(self.rate) or (self.kind == POISSON and self.rate <= 0.0):
+            raise ValueError("Levy rate must be finite, and positive for the Poisson law")
+
+    @classmethod
+    def named(cls, kind: str, rate: float = 1.0) -> "LevyLaw":
+        """The law of a kind name: ``gamma``, ``poisson`` with intensity ``rate``, or ``none``."""
+        return cls(kind, rate if kind == POISSON else 1.0)
 
     @classmethod
     def standard_gamma(cls) -> "LevyLaw":
@@ -49,18 +54,14 @@ class LevyLaw:
         return cls(DEGENERATE)
 
     def mean(self, t: float) -> float:
+        """Mean of X_t, which for each of these laws equals its variance."""
         if self.kind == GAMMA:
             return t
         if self.kind == POISSON:
             return self.rate * t
         return 0.0
 
-    def variance(self, t: float) -> float:
-        if self.kind == GAMMA:
-            return t
-        if self.kind == POISSON:
-            return self.rate * t
-        return 0.0
+    variance = mean
 
     def tail_quantile(self, t: float, tail: float = 1e-14) -> float:
         """Upper quantile of X_t, used to bracket integrals over the law."""
@@ -85,6 +86,8 @@ class PayoffDistribution:
         object.__setattr__(self, "probs", probs)
         if support.ndim != 1 or support.size == 0 or support.shape != probs.shape:
             raise ValueError("support and probs must be matching 1-d sequences")
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+            raise ValueError("payoff atoms and probabilities must be finite")
         if np.unique(support).size != support.size:
             raise ValueError("support values must be pairwise distinct")
         if np.any(probs <= 0.0) or np.any(probs > 1.0):
@@ -109,7 +112,8 @@ class PayoffDistribution:
         keep = np.searchsorted(np.cumsum(probs), 1.0 - 1e-12) + 1
         keep = min(keep, probs.size)
         p = probs[:keep]
-        return cls(support[:keep], p / p.sum())
+        with np.errstate(invalid="ignore"):  # an infinite probability gives nan weights, which are rejected
+            return cls(support[:keep], p / p.sum())
 
     @property
     def n_atoms(self) -> int:
@@ -146,8 +150,8 @@ class DefaultTimeLaw:
     jumps: tuple = ()  # where the density jumps; break points for quadrature
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError("horizon must be positive and finite")
         if (self.atom_times is None) == (self.pdf is None):
             raise ValueError("exactly one of atoms or density must be given")
         if self.atom_times is not None:
@@ -157,10 +161,11 @@ class DefaultTimeLaw:
             object.__setattr__(self, "atom_weights", weights)
             if times.shape != weights.shape or times.ndim != 1:
                 raise ValueError("atom times and weights must match")
-            if np.any(times <= 0.0) or np.any(times > self.horizon):
+            # written so that a nan fails each comparison
+            if not np.all((times > 0.0) & (times <= self.horizon)):
                 raise ValueError("atoms must lie in (0, horizon]")
-            if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > _TAU_MASS_TOL:
-                raise ValueError("atom weights must be positive and sum to 1")
+            if not (np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= _TAU_MASS_TOL):
+                raise ValueError("atom weights must be finite, positive and sum to 1")
         else:
             mass = self.integrate(lambda r: 1.0, 0.0, self.horizon)
             if abs(mass - 1.0) > _TAU_MASS_TOL:
@@ -182,8 +187,8 @@ class DefaultTimeLaw:
     @classmethod
     def exponential_conditioned(cls, rate: float, horizon: float) -> "DefaultTimeLaw":
         """Exp(rate) conditioned on landing in (0, horizon]."""
-        if rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not (np.isfinite(rate) and rate > 0.0):
+            raise ValueError("rate must be positive and finite")
         norm = 1.0 - np.exp(-rate * horizon)
 
         def pdf(r):

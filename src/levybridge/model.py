@@ -24,6 +24,8 @@ class RateCurve:
         object.__setattr__(self, "rates", rates)
         if times.shape != rates.shape:
             raise ValueError("times and rates must match")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(rates))):
+            raise ValueError("rate knots and rates must be finite")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise ValueError("rate knots must start at 0 and increase")
 
@@ -67,8 +69,8 @@ class MarketModel:
     default_law: DefaultTimeLaw | None = None
 
     def __post_init__(self):
-        if self.maturity <= 0.0:
-            raise ValueError("maturity must be positive")
+        if not (0.0 < self.maturity < np.inf and np.isfinite(self.sigma) and np.isfinite(self.levy_drift_scale)):
+            raise ValueError("maturity must be positive, and maturity, sigma and mu finite")
         if self.sigma == 0.0:
             raise ValueError("sigma must be nonzero for posterior identifiability")
         if self.default_law is not None and self.default_law.horizon > self.maturity + 1e-12:
@@ -87,17 +89,6 @@ def _rate_from_json(doc: dict) -> RateCurve:
     if kind == "table":
         return RateCurve(np.asarray(doc["times"]), np.asarray(doc["rates"]))
     raise ValueError(f"unknown rate kind {kind!r}")
-
-
-def _levy_from_json(doc: dict) -> LevyLaw:
-    kind = doc["kind"]
-    if kind == "gamma":
-        return LevyLaw.standard_gamma()
-    if kind == "poisson":
-        return LevyLaw.poisson(doc.get("lambda", 1.0))
-    if kind == "none":
-        return LevyLaw.degenerate()
-    raise ValueError(f"unknown levy kind {kind!r}")
 
 
 def _default_law_from_json(doc: dict, horizon: float) -> DefaultTimeLaw:
@@ -124,7 +115,7 @@ def model_from_dict(doc: dict) -> MarketModel:
             levy_drift_scale=float(doc.get("mu", 1.0)),
             rate=_rate_from_json(doc.get("rate", {"kind": "flat", "r": 0.0})),
             payoff=payoff,
-            levy=_levy_from_json(doc["levy"]),
+            levy=LevyLaw.named(doc["levy"]["kind"], doc["levy"].get("lambda", 1.0)),
             default_law=default_law,
         )
     except KeyError as exc:

@@ -30,6 +30,7 @@ _MAX_ROUNDS = 60
 # as underflow takes their relative precision
 UNDERFLOW = 1e-290
 _MAX_LATTICE = 1 << 22
+_BLOCK = 16  # lattice points per block of a Poisson sum
 # past 40 + 2a the gamma(a) density is below e^-40 of its bulk, and past
 # 1000 + 2a it underflows to 0
 _GAMMA_BULK_END, _GAMMA_UNDERFLOW = 40.0, 1000.0
@@ -167,10 +168,6 @@ class _GammaMeasure:
         self.head_nodes, self.w_hi, self.w_lo = _jacobi_rules(a.tobytes())
         self.log_gamma, self.log_gamma_1 = gammaln(a), gammaln(a + 1.0)
 
-    def rows(self, table: np.ndarray, law: np.ndarray) -> np.ndarray:
-        """The rows of a head-rule table at the law indices ``law``; one law's row serves every index as it is."""
-        return table if self.a.size == 1 else table[law]
-
 
 class _Panels:
     """Live 15-node panels in equal-length flat arrays, one entry per (element, panel) pair.
@@ -230,7 +227,7 @@ class _Panels:
         scale = 1.0 + a[tail]
         y[tail] = self.base[tail, None] + scale * u / (1.0 - u)
         top, law = hi[head], self.law[head]
-        y[head] = top * m.rows(m.head_nodes, law)
+        y[head] = top * m.head_nodes[law]
         with np.errstate(divide="ignore", invalid="ignore"):  # head nodes: their mass is set below
             mass = half * np.exp((a - 1.0) * np.log(y) - y - m.log_gamma[self.law][:, None])
         mass[tail] *= scale / (1.0 - u) ** 2
@@ -240,19 +237,19 @@ class _Panels:
 
     def rule(self, g: np.ndarray) -> None:
         """Value, error estimate and integral of |f| per entry from g = f * node mass."""
-        val = g @ _GK_WK
-        diff = np.abs(val - g @ _GK_WG)
-        mag = np.abs(g) @ _GK_WK
-        # QUADPACK's scaling of the Kronrod-Gauss difference
-        asc = np.abs(g - val[:, None] / 2.0) @ _GK_WK
-        ratio = 200.0 * diff / np.where(asc > 0.0, asc, 1.0)
-        err = np.where(asc > 0.0, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), diff)
-        head = np.flatnonzero(self.kind == _HEAD)
-        if head.size:
-            gh, law = g[head], self.law[head]
-            w_hi, w_lo = self.measure.rows(self.measure.w_hi, law), self.measure.rows(self.measure.w_lo, law)
-            val[head], mag[head] = (gh * w_hi).sum(axis=-1), (np.abs(gh) * w_hi).sum(axis=-1)
-            err[head] = np.abs(val[head] - (gh * w_lo).sum(axis=-1))
+        # each sum reduces one row against its entry's weights, whose bits then do not depend on the
+        # other rows, as those of a BLAS matrix-vector product do
+        w_hi, w_lo = np.tile(_GK_WK, (g.shape[0], 1)), np.tile(_GK_WG, (g.shape[0], 1))
+        head = self.kind == _HEAD
+        if np.any(head):
+            w_hi[head], w_lo[head] = self.measure.w_hi[self.law[head]], self.measure.w_lo[self.law[head]]
+        val, mag = np.einsum("ij,ij->i", g, w_hi), np.einsum("ij,ij->i", np.abs(g), w_hi)
+        diff = np.abs(val - np.einsum("ij,ij->i", g, w_lo))
+        # QUADPACK's scaling of the Kronrod-Gauss difference; a Jacobi head keeps the bare difference
+        asc = np.einsum("ij,ij->i", np.abs(g - val[:, None] / 2.0), w_hi)
+        scaled = (asc > 0.0) & ~head
+        ratio = 200.0 * diff / np.where(scaled, asc, 1.0)
+        err = np.where(scaled, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), diff)
         self.val, self.err, self.mag = val, np.maximum(err, 50.0 * _EPS * mag), mag
 
     def divisible(self) -> np.ndarray:
@@ -262,14 +259,11 @@ class _Panels:
     def totals(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, error estimate and integral of |f| for each of n elements.
 
-        Each element's entries are summed in ascending order, so that a sum
-        does not depend on the order of the entries or on the other elements.
+        bincount adds an element's entries one at a time in their order in the
+        store, which only that element's own panels decide, so that a sum does
+        not depend on the other elements.
         """
-        out = []
-        for x in (self.val, self.err, self.mag):
-            order = np.argsort(x)
-            out.append(np.bincount(self.elem[order], x[order], minlength=n))
-        return tuple(out)
+        return tuple(np.bincount(self.elem, x, minlength=n) for x in (self.val, self.err, self.mag))
 
 
 def _evaluate(f, p: _Panels, shape: tuple, args=None) -> tuple[_Panels, tuple]:
@@ -411,7 +405,9 @@ def _poisson_sum(f, mu, points, q: Quadrature):
     ratio of the last two, and the window doubles until that tail bound
     meets the relative goal.  So the window does not grow with the break
     points' distance unless it holds nothing but zeros, and not past the
-    pmf's underflow even then.
+    pmf's underflow even then, nor past ``_MAX_LATTICE``.  Sums add the
+    sums of ``_BLOCK``-point blocks aligned to n = 0 in lattice order, so an
+    element's bits do not depend on the other elements' windows.
     """
     log_mu, mean = np.log(mu)[..., None], mu[..., None]
 
@@ -421,24 +417,31 @@ def _poisson_sum(f, mu, points, q: Quadrature):
     def terms(n):
         return f(n) * pmf(n)
 
+    def add_blocks(acc, a):
+        blocks = a.reshape(a.shape[:-1] + (a.shape[-1] // _BLOCK, _BLOCK)).sum(axis=-1)
+        acc = np.broadcast_to(acc, blocks.shape[:-1])[..., None]
+        return np.cumsum(np.concatenate([acc, blocks], axis=-1), axis=-1)[..., -1]
+
     stop, done = np.asarray(np.ceil(mu + 10.0 * np.sqrt(mu) + 10.0) + 1.0), np.zeros(np.shape(mu))
     reach = -np.inf if points is None else np.max(np.where(np.isfinite(points), points, -np.inf), axis=-1)
-    total = mag = 0.0
+    total = mag = np.zeros(np.shape(mu))
     while True:
         fresh = done < stop
         first = int(np.min(np.where(fresh, done, np.inf))) if np.any(fresh) else 0
-        n = np.arange(first, int(np.max(stop, initial=first)), dtype=float)
-        for idx in np.array_split(np.arange(n.size), max(1, n.size * np.size(total) // _MAX_TEMPORARY)):
+        top = -(-int(np.max(stop, initial=first)) // _BLOCK) * _BLOCK
+        step = _BLOCK * max(1, _MAX_TEMPORARY // (_BLOCK * np.size(total)))
+        for lo in range(first // _BLOCK * _BLOCK, top, step):
+            n = np.arange(lo, min(lo + step, top), dtype=float)
             with np.errstate(invalid="ignore"):
-                a = np.where((n[idx] >= done[..., None]) & (n[idx] < stop[..., None]), terms(n[idx]), 0.0)
-            total, mag = total + a.sum(axis=-1), mag + np.abs(a).sum(axis=-1)
+                a = np.where((n >= done[..., None]) & (n < stop[..., None]), terms(n), 0.0)
+            total, mag = add_blocks(total, a), add_blocks(mag, np.abs(a))
         prev, end = np.moveaxis(np.abs(terms(stop[..., None] - np.array([2.0, 1.0]))), -1, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = end / prev
             tail = np.where(end == 0.0, 0.0, np.where(rho < 1.0, end * rho / (1.0 - rho), np.inf))
         unseen = (mag == 0.0) & (stop < reach) & (pmf(stop[..., None] - 1.0)[..., 0] > 0.0)
-        grow = (tail > REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)) | unseen
-        if not np.any(grow) or np.max(stop) > _MAX_LATTICE:
+        grow = ((tail > REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)) | unseen) & (stop <= _MAX_LATTICE)
+        if not np.any(grow):
             return total, np.maximum(tail, 50.0 * _EPS * mag)  # as for the panels, a roundoff floor
         done, stop = stop, np.where(grow, 2.0 * stop, stop)
 

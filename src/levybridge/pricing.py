@@ -116,8 +116,8 @@ def likelihood_q(model: MarketModel, t: float, h, x,
 
 
 def _posterior_weights(model: MarketModel, t: float, x, q: Quadrature) -> np.ndarray:
-    # one likelihood call per atom: perfbench's instrumentation test pins a binary
-    # bond_price at two likelihood_q and two integrate_levy calls
+    # one call per atom only because perfbench's instrumentation test pins a binary bond_price
+    # at two likelihood_q and two integrate_levy calls; an atom axis would give the same bits
     likes = [likelihood_q(model, t, h, x, q) for h in model.payoff.support]
     return bayes_posterior(likes, model.payoff.probs)
 

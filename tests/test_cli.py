@@ -192,6 +192,32 @@ def test_malformed_model_exits_2(tmp_path):
     assert main(["price", "--model", str(incomplete), "--t", "0.5", "--x", "0.7"]) == 2
 
 
+def test_non_finite_model_field_exits_2(tmp_path, capsys):
+    # a nan default time used to drop out of the posterior and price silently
+    law = {"kind": "atoms", "times": [float("nan"), 0.75], "weights": [0.3, 0.7]}
+    out = tmp_path / "price.csv"
+    assert main(["price", "--model", _model_file(tmp_path, default_law=law),
+                 "--t", "0.5", "--x", "0.3", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "error: atoms must lie in (0, horizon]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["density", "--which", "levy", "--t", "nan"],
+                                  ["density", "--which", "psi", "--x", "nan"],
+                                  ["price", "--model", "MODEL", "--t", "0.5", "--x", "nan"],
+                                  ["option", "--model", "MODEL", "--t", "0.5", "--K", "inf"],
+                                  ["simulate", "--process", "zeta", "--T", "inf"]],
+                         ids=["density-levy", "density-psi", "price", "option", "simulate"])
+def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    argv = [_model_file(tmp_path) if a == "MODEL" else a for a in argv] + ["-o", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert not out.exists()
+    assert "expected a finite number" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
+from levybridge import default_pricing
 from levybridge.default_pricing import (DefaultQuote, binary_bond_price_default,
                                         bond_price_default, default_indicator,
                                         likelihood_q_kappa, option_value_default,
@@ -12,9 +13,9 @@ from levybridge.default_pricing import (DefaultQuote, binary_bond_price_default,
                                         survival_posterior_mean)
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
-from levybridge.numerics import (Quadrature, QuadratureError, gamma_density,
+from levybridge.numerics import (DEFAULT_QUADRATURE, Quadrature, QuadratureError, gamma_density,
                                  gauss_density, integrate_levy, poisson_pmf)
-from levybridge.pricing import bond_price, bridge_levy_density, x_bracket
+from levybridge.pricing import bayes_posterior, bond_price, bridge_levy_density, x_bracket
 
 GAMMA = LevyLaw.standard_gamma()
 BINARY = PayoffDistribution.binary(0.0, 1.0, 0.5)
@@ -348,6 +349,26 @@ def test_default_routes_agree_or_raise_together(case):
     assert binary_bond_price_default(m, t, x) == pytest.approx(quote.price, abs=1e-12)
 
 
+@pytest.mark.parametrize("law", [TAU_LATE, DefaultTimeLaw.exponential_conditioned(0.5, 1.0)],
+                         ids=["atoms", "exponential"])
+def test_joint_posterior_is_one_likelihood_call(monkeypatch, law):
+    # every (default time, payoff) cell of a quote comes from one call, with the bits of per-cell calls
+    payoff = PayoffDistribution(np.array([0.0, 0.4, 1.0]), np.array([0.2, 0.3, 0.5]))
+    m = _model(law=law, payoff=payoff)
+    name = "bridge_levy_density" if law.is_discrete else "survival_kernel"
+    real, calls = getattr(default_pricing, name), []
+    monkeypatch.setattr(default_pricing, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cells = bond_price_default(m, 0.5, 0.3).posterior_joint
+    assert len(calls) == 1
+    monkeypatch.undo()
+    likes = [survival_kernel(m, 0.5, 0.3, h) if r is None
+             else bridge_levy_density(m, 0.5, 0.3, r - 0.5, h, 0.25, DEFAULT_QUADRATURE) for r, h, _ in cells]
+    tau_weights = dict(zip(law.atom_times, law.atom_weights)) if law.is_discrete else {None: 1.0}
+    priors = [dict(zip(payoff.support, payoff.probs))[h] * tau_weights[r] for r, h, _ in cells]
+    assert len(cells) == (6 if law.is_discrete else 3)
+    assert [w for _, _, w in cells] == bayes_posterior(likes, priors).tolist()
+
+
 @pytest.mark.parametrize("levy", [GAMMA, LevyLaw.poisson(1.0), LevyLaw.degenerate()], ids=["gamma", "poisson", "none"])
 def test_survival_kernel_over_payoff_atoms(levy):
     # one call with the payoff atoms on a leading axis equals the per-atom calls
@@ -357,7 +378,7 @@ def test_survival_kernel_over_payoff_atoms(levy):
     vals = survival_kernel(m, 0.5, xs, payoff.support[:, None])
     assert vals.shape == (3, 4)
     for h, row in zip(payoff.support, vals):
-        np.testing.assert_allclose(row, survival_kernel(m, 0.5, xs, float(h)), rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(row, survival_kernel(m, 0.5, xs, float(h)))
     # every default atom before t: zeros of the elements' shape
     early = _model(law=TAU_EARLY, levy=levy, payoff=payoff)
     vals = survival_kernel(early, 0.5, xs[:3], payoff.support[:, None])

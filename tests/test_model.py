@@ -81,6 +81,24 @@ def test_model_json_named_default_laws():
     assert m.default_law.cdf(0.55) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("field", [("T",), ("sigma",), ("mu",), ("rate", "r"), ("levy", "lambda"),
+                                   ("payoff", "support", 0), ("payoff", "probs", 1),
+                                   ("default_law", "times", 0), ("default_law", "weights", 1)],
+                         ids=lambda f: ".".join(map(str, f)))
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_model_from_dict_rejects_non_finite_fields(field, bad):
+    doc = _base_doc()
+    doc["levy"] = {"kind": "poisson", "lambda": 2.0}
+    doc["default_law"] = {"kind": "atoms", "times": [0.3, 0.75], "weights": [0.3, 0.7]}
+    model_from_dict(doc)
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = bad
+    with pytest.raises(ValueError):
+        model_from_dict(doc)
+
+
 def test_model_json_missing_field():
     doc = _base_doc()
     del doc["levy"]

@@ -283,9 +283,19 @@ def test_bridge_levy_density_over_bridge_lengths(levy):
     vals = bridge_levy_density(m, 0.5, xs, ss, 1.0, 0.25, DEFAULT_QUADRATURE)
     assert vals.shape == (3, 5)
     for (i, j), v in np.ndenumerate(vals):
-        assert v == pytest.approx(bridge_levy_density(m, 0.5, float(xs[i, 0]), float(ss[j]), 1.0, 0.25,
-                                                      DEFAULT_QUADRATURE), rel=1e-15)
+        assert v == bridge_levy_density(m, 0.5, float(xs[i, 0]), float(ss[j]), 1.0, 0.25, DEFAULT_QUADRATURE)
     assert bridge_levy_density(m, 0.5, np.zeros(0), 0.3, 1.0, 0.25, DEFAULT_QUADRATURE).shape == (0,)
+
+
+@pytest.mark.parametrize("rate", [1.0, 7.0])
+def test_bridge_levy_density_poisson_grid_equals_scalar_calls(rate):
+    # an element's lattice sum depends on its own window only, not on the other elements' windows
+    m = _model(levy=LevyLaw.poisson(rate))
+    xs, ss = np.linspace(-3.0, 60.0, 64), np.array([1e-6, 1e-3, 0.05, 0.3, 0.9])
+    for k in (1e-3, 0.1, 0.5, 2.0):
+        vals = bridge_levy_density(m, 0.5, xs[:, None], ss, 1.0, k, DEFAULT_QUADRATURE)
+        single = [[bridge_levy_density(m, 0.5, x, s, 1.0, k, DEFAULT_QUADRATURE) for s in ss] for x in xs]
+        np.testing.assert_array_equal(vals, single, err_msg=f"k = {k}")
 
 
 @pytest.mark.parametrize("levy", [GAMMA, POIS, LevyLaw.degenerate()], ids=["gamma", "poisson", "none"])
@@ -296,10 +306,8 @@ def test_bridge_levy_density_over_payoff_atoms(levy):
     vals = bridge_levy_density(m, 0.5, xs, 0.5, hs[:, None], 0.5, DEFAULT_QUADRATURE)
     assert vals.shape == (3, 4)
     for h, row in zip(hs, vals):
-        np.testing.assert_allclose(row, bridge_levy_density(m, 0.5, xs, 0.5, float(h), 0.5, DEFAULT_QUADRATURE),
-                                   rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(likelihood_q(m, 0.3, hs, 0.2), [likelihood_q(m, 0.3, float(h), 0.2) for h in hs],
-                               rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(row, bridge_levy_density(m, 0.5, xs, 0.5, float(h), 0.5, DEFAULT_QUADRATURE))
+    np.testing.assert_array_equal(likelihood_q(m, 0.3, hs, 0.2), [likelihood_q(m, 0.3, float(h), 0.2) for h in hs])
 
 
 @pytest.mark.parametrize("t, u", [(0.3, 0.6), (0.1, 0.8)], ids=["inner-increment", "inner-terminal"])
@@ -309,7 +317,6 @@ def test_psi_over_an_array_of_y(t, u):
     ys = np.array([[-0.3, 0.2], [0.7, 1.6]])
     vals = transition_density_psi(m, t, u, 0.4, ys)
     assert vals.shape == (2, 2)
-    np.testing.assert_allclose(vals.ravel(), [transition_density_psi(m, t, u, 0.4, float(y)) for y in ys.ravel()],
-                               rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(vals.ravel(), [transition_density_psi(m, t, u, 0.4, float(y)) for y in ys.ravel()])
     assert transition_density_psi(m, t, u, 0.4, np.zeros(0)).shape == (0,)
     assert isinstance(transition_density_psi(m, t, u, 0.4, 0.2), float)

@@ -1,6 +1,6 @@
 """Brownian bridges with stochastic pinning and information-based credit pricing."""
 
-from .grids import Path, TimeGrid
+from .grids import TimeGrid
 from .laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from .model import MarketModel, RateCurve, model_from_dict, model_from_json
 from .numerics import (Quadrature, QuadratureError, gamma_density,
@@ -14,14 +14,10 @@ from .default_pricing import (DefaultQuote, binary_bond_price_default,
                               bond_price_default, default_indicator,
                               likelihood_q_kappa, option_value_default,
                               posterior_tau_payoff)
-from .sampling import (build_bar_beta, build_eta, build_kappa,
-                       build_tilde_beta, build_zeta, reverse_index,
-                       sample_brownian, sample_brownian_bridge, sample_levy)
 from .gaussian import (CovKernel, TimeChange, cov_bar, cov_hat, cov_tilde,
-                       drift_tilde, euler_reconstruct_tilde,
-                       explicit_reconstruct_tilde, kernel_a,
-                       markov_triple_residual, not_a_bridge_residual,
-                       predict_bar, quasimartingale_variation)
+                       drift_tilde, kernel_a, markov_triple_residual,
+                       not_a_bridge_residual, predict_bar_batch,
+                       quasimartingale_variation)
 from .mc import McReport, empirical_cov, conditional_histogram, posterior_binning, tower_check
 
 __version__ = "0.1.0"

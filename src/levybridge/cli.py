@@ -12,7 +12,7 @@ from . import default_pricing, gaussian, mc, pricing
 from .grids import TimeGrid
 from .laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from .model import MarketModel, RateCurve, model_from_json
-from .numerics import QuadratureError, gamma_density, poisson_pmf
+from .numerics import GAMMA, POISSON, QuadratureError, gamma_density, poisson_pmf
 from .sampling import PROCESS_SAMPLERS
 
 
@@ -105,13 +105,15 @@ def _cmd_density(args) -> int:
         _write_csv(args.output, _config_of(args), ["y", "psi"], rows)
         return 0
     law = LevyLaw.named(args.levy, args.lam)
-    if law.kind == "poisson":
+    if law.kind == POISSON:
         n_hi = int(law.tail_quantile(args.t, 1e-12))
         rows = [[float(k), poisson_pmf(args.t, law.rate, k)] for k in range(n_hi + 1)]
-    else:
+    elif law.kind == GAMMA:
         y_hi = law.tail_quantile(args.t, 1e-12)
         rows = [[float(y), float(gamma_density(args.t, float(y)))]
                 for y in np.linspace(1e-9, y_hi, args.points)]
+    else:  # the degenerate law: one atom of mass 1 at 0, written like the pmf
+        rows = [[0.0, 1.0]]
     _write_csv(args.output, _config_of(args), ["y", "density"], rows)
     return 0
 
@@ -148,6 +150,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every count option: zero and negative counts are usage errors."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="levybridge",
                                      description="Bridge-with-Levy-pinning simulation and pricing")
@@ -163,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levy", choices=["gamma", "poisson", "none"], default="gamma")
     p.add_argument("--lam", type=_finite_float, default=1.0, help="Poisson rate")
     p.add_argument("--T", type=_finite_float, default=1.0)
-    p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--paths", type=int, default=8)
+    p.add_argument("--steps", type=_positive_int, default=256)
+    p.add_argument("--paths", type=_positive_int, default=8)
     p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--mu", type=_finite_float, default=1.0)
     p.add_argument("--model", default=None, help="model JSON (eta/kappa payoff and default law)")
@@ -198,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_finite_float, default=0.0)
     p.add_argument("--ymin", type=_finite_float, default=None)
     p.add_argument("--ymax", type=_finite_float, default=None)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_positive_int, default=201)
     common(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("kernels", help="tabulate a covariance kernel on a lattice")
     p.add_argument("--kernel", choices=["bar", "tilde"], required=True)
     p.add_argument("--T", type=_finite_float, default=1.0)
-    p.add_argument("--points", type=int, default=21)
+    p.add_argument("--points", type=_positive_int, default=21)
     common(p)
     p.set_defaults(func=_cmd_kernels)
 

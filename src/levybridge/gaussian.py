@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import Path, TimeGrid
+from .grids import TimeGrid
 from .sampling import rng_for
 
 _DRIFT_GUARD = 1e-6
@@ -141,11 +141,6 @@ def predict_bar_batch(grid: TimeGrid, values: np.ndarray, s: float, t: float) ->
     return (T - t) / (T - s) * values[:, ks] + (t - s) / (T - s) * integral
 
 
-def predict_bar(path: Path, s: float, t: float) -> float:
-    """Single-path version of predict_bar_batch."""
-    return float(predict_bar_batch(path.grid, path.values[None, :], s, t)[0])
-
-
 def drift_tilde(s: float, x: float, T: float) -> float:
     """Drift of the reversed-pin bridge at state x: -2 s x / (T^2 - s^2)."""
     if s > T * (1.0 - _DRIFT_GUARD):
@@ -190,16 +185,6 @@ def tilde_explicit_batch(grid: TimeGrid, seed: int, n: int) -> np.ndarray:
     integrand = np.sqrt(T * T + t[:-1] ** 2) / (T * T - t[:-1] ** 2)
     mart = np.concatenate([np.zeros((n, 1)), np.cumsum(integrand * db, axis=1)], axis=1)
     return (T * T - t * t) / T * mart
-
-
-def euler_reconstruct_tilde(grid: TimeGrid, seed: int) -> Path:
-    """One Euler-scheme reconstruction path of the reversed-pin bridge."""
-    return Path(grid, tilde_euler_batch(grid, seed, 1)[0])
-
-
-def explicit_reconstruct_tilde(grid: TimeGrid, seed: int) -> Path:
-    """One explicit-solution reconstruction path of the reversed-pin bridge."""
-    return Path(grid, tilde_explicit_batch(grid, seed, 1)[0])
 
 
 def tilde_quadratic_variation(t: float, T: float) -> float:

@@ -1,8 +1,7 @@
-"""Discrete time grids and the sampled paths that live on them."""
+"""Discrete time grids; sampled paths are arrays with one path per row."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,43 +67,3 @@ class TimeGrid:
         idx = np.clip(idx, 0, self.n_steps)
         return idx if np.ndim(t) else int(idx)
 
-
-@dataclass(frozen=True)
-class Path:
-    """One sampled trajectory: a value per grid point."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise ValueError("values must have one entry per grid point")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("path values must be finite")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.grid.index_of(t)])
-
-    def to_csv(self, target) -> None:
-        """Write `t,value` rows with 17 significant digits."""
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", newline="")
-            close = True
-        try:
-            target.write("t,value\n")
-            for t, v in zip(self.grid.points, self.values):
-                target.write(f"{t:.17g},{v:.17g}\n")
-        finally:
-            if close:
-                target.close()
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()

@@ -85,7 +85,7 @@ class MarketModel:
 def _rate_from_json(doc: dict) -> RateCurve:
     kind = doc.get("kind", "flat")
     if kind == "flat":
-        return RateCurve.flat(doc.get("r", 0.0))
+        return RateCurve.flat(float(doc.get("r", 0.0)))
     if kind == "table":
         return RateCurve(np.asarray(doc["times"]), np.asarray(doc["rates"]))
     raise ValueError(f"unknown rate kind {kind!r}")
@@ -96,9 +96,9 @@ def _default_law_from_json(doc: dict, horizon: float) -> DefaultTimeLaw:
     if kind == "atoms":
         return DefaultTimeLaw.atoms(doc["times"], doc["weights"], horizon=horizon)
     if kind == "exponential":
-        return DefaultTimeLaw.exponential_conditioned(doc["rate"], horizon)
+        return DefaultTimeLaw.exponential_conditioned(float(doc["rate"]), horizon)
     if kind == "uniform":
-        return DefaultTimeLaw.uniform(doc["lo"], doc["hi"], horizon=horizon)
+        return DefaultTimeLaw.uniform(float(doc["lo"]), float(doc["hi"]), horizon=horizon)
     raise ValueError(f"unknown default law kind {kind!r}")
 
 
@@ -115,11 +115,13 @@ def model_from_dict(doc: dict) -> MarketModel:
             levy_drift_scale=float(doc.get("mu", 1.0)),
             rate=_rate_from_json(doc.get("rate", {"kind": "flat", "r": 0.0})),
             payoff=payoff,
-            levy=LevyLaw.named(doc["levy"]["kind"], doc["levy"].get("lambda", 1.0)),
+            levy=LevyLaw.named(doc["levy"]["kind"], float(doc["levy"].get("lambda", 1.0))),
             default_law=default_law,
         )
     except KeyError as exc:
         raise ValueError(f"model document is missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"model document is malformed: {exc}") from exc
 
 
 def model_from_json(path: str) -> MarketModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Path, TimeGrid
+from .grids import TimeGrid
 from .laws import DEGENERATE, GAMMA, POISSON, LevyLaw
 from .model import MarketModel
 
@@ -111,67 +111,6 @@ def kappa_values(grid: TimeGrid, sigma: float, mu: float, tau_idx, h,
     noise = bridge + mu * t * x_rev
     before = np.arange(m) < tau_idx
     return sigma * t * h + np.where(before, noise, 0.0)
-
-
-# -- single-path operations ---------------------------------------------------
-
-def sample_brownian(grid: TimeGrid, seed: int) -> Path:
-    """Standard Brownian motion on the grid, W_0 = 0."""
-    return Path(grid, brownian_batch(grid, seed, 1)[0])
-
-
-def sample_brownian_bridge(grid: TimeGrid, seed: int) -> Path:
-    """W_t - (t/T) W_T for one underlying W realization; pinned to 0 at both ends."""
-    return Path(grid, bridge_values(grid, brownian_batch(grid, seed, 1))[0])
-
-
-def sample_levy(law: LevyLaw, grid: TimeGrid, seed: int) -> Path:
-    """Levy path with exact stationary independent increments, X_0 = 0."""
-    return Path(grid, levy_batch(law, grid, seed, 1)[0])
-
-
-def reverse_index(path: Path) -> Path:
-    return Path(path.grid, reverse_values(path.grid, path.values).copy())
-
-
-def _require_same_grid(a: Path, b: Path) -> TimeGrid:
-    if a.grid.points.shape != b.grid.points.shape or not np.array_equal(a.grid.points, b.grid.points):
-        raise ValueError("paths live on different grids")
-    return a.grid
-
-
-def build_bar_beta(w: Path, b: Path) -> Path:
-    """Bridge of W pinned by the forward Brownian motion B: not Markov."""
-    grid = _require_same_grid(w, b)
-    return Path(grid, bar_beta_values(grid, w.values, b.values))
-
-
-def build_tilde_beta(w: Path, b: Path) -> Path:
-    """Bridge of W pinned by the time-reversed Brownian motion: Markov."""
-    grid = _require_same_grid(w, b)
-    return Path(grid, tilde_beta_values(grid, w.values, b.values))
-
-
-def build_zeta(w: Path, x: Path) -> Path:
-    """Bridge noise with reversed Levy pinning; vanishes at 0 and T exactly."""
-    grid = _require_same_grid(w, x)
-    return Path(grid, zeta_values(grid, w.values, x.values))
-
-
-def build_eta(model: MarketModel, h: float, zeta: Path) -> Path:
-    """Market information path sigma*t*h + zeta_t."""
-    return Path(zeta.grid, eta_values(zeta.grid, model.sigma, float(h), zeta.values))
-
-
-def build_kappa(model: MarketModel, tau: float, h: float, w: Path, x: Path) -> Path:
-    """Default-time information path; tau is snapped to the nearest grid point <= tau."""
-    grid = _require_same_grid(w, x)
-    if not 0.0 < tau <= grid.horizon:
-        raise ValueError("tau must lie in (0, T]")
-    tau_idx = grid.snap_below(tau)
-    vals = kappa_values(grid, model.sigma, model.levy_drift_scale,
-                        [tau_idx], [h], w.values[None, :], x.values[None, :])
-    return Path(grid, vals[0])
 
 
 # -- model-driven batch sampling ----------------------------------------------

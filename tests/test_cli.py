@@ -170,6 +170,10 @@ def test_density_levy_command(tmp_path):
     lines = _read(out)
     probs = [float(line.split(",")[1]) for line in lines[2:]]
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+    # the degenerate law is a point mass at 0: one pmf row, not a gamma table
+    rc = main(["density", "--which", "levy", "--levy", "none", "--points", "4", "-o", str(out)])
+    assert rc == 0
+    assert _read(out)[1:] == ["y,density", "0,1"]
 
 
 def test_verify_fast(tmp_path):
@@ -190,6 +194,27 @@ def test_malformed_model_exits_2(tmp_path):
     incomplete = tmp_path / "inc.json"
     incomplete.write_text(json.dumps({"T": 1.0}))
     assert main(["price", "--model", str(incomplete), "--t", "0.5", "--x", "0.7"]) == 2
+
+
+@pytest.mark.parametrize("doc", [{"levy": {"kind": "poisson", "lambda": "abc"}},
+                                 {"default_law": {"kind": "exponential", "rate": "abc"}},
+                                 {"default_law": {"kind": "uniform", "lo": "a", "hi": 0.9}},
+                                 {"sigma": None},
+                                 [1, 2],
+                                 {"levy": "gamma"},
+                                 {"rate": "flat"}],
+                         ids=["lambda-string", "rate-string", "lo-string", "sigma-null", "list",
+                              "levy-string", "rate-curve-string"])
+def test_wrongly_typed_model_document_exits_2(tmp_path, capsys, doc):
+    path = _model_file(tmp_path)
+    with open(path) as fh:
+        base = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**base, **doc} if isinstance(doc, dict) else doc, fh)
+    assert main(["price", "--model", path, "--t", "0.5", "--x", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_non_finite_model_field_exits_2(tmp_path, capsys):
@@ -216,6 +241,21 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     assert err.value.code == 2
     assert not out.exists()
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["density", "--which", "psi", "--points", "0"],
+                                  ["density", "--which", "levy", "--points", "-1"],
+                                  ["kernels", "--kernel", "bar", "--points", "0"],
+                                  ["simulate", "--process", "zeta", "--paths", "-1"],
+                                  ["simulate", "--process", "zeta", "--steps", "0"]],
+                         ids=["density-psi", "density-levy", "kernels", "simulate-paths", "simulate-steps"])
+def test_non_positive_count_option_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["-o", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    assert "expected a positive integer" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

@@ -5,12 +5,12 @@ from levybridge import gaussian, sampling
 from levybridge.gaussian import (TimeChange, bar_kernel, cov_bar, cov_hat,
                                  cov_tilde, drift_tilde, hat_kernel, kernel_a,
                                  kernel_a_coefficients, markov_triple_residual,
-                                 not_a_bridge_residual, predict_bar,
-                                 predict_bar_batch, quasimartingale_bound,
-                                 quasimartingale_variation, tilde_kernel,
-                                 tilde_euler_batch, tilde_explicit_batch,
-                                 tilde_quadratic_variation, tilde_variance)
-from levybridge.grids import Path, TimeGrid
+                                 not_a_bridge_residual, predict_bar_batch,
+                                 quasimartingale_bound, quasimartingale_variation,
+                                 tilde_kernel, tilde_euler_batch,
+                                 tilde_explicit_batch, tilde_quadratic_variation,
+                                 tilde_variance)
+from levybridge.grids import TimeGrid
 
 
 def test_cov_bar_values():
@@ -105,11 +105,11 @@ def test_predict_bar_trivial_cases():
     g = TimeGrid.uniform(1.0, 64)
     w = sampling.brownian_batch(g, 3, 1)
     b = sampling.brownian_batch(g, 4, 1)
-    path = Path(g, sampling.bar_beta_values(g, w, b)[0])
+    path = sampling.bar_beta_values(g, w, b)
     s = 0.5
-    assert predict_bar(path, s, s) == pytest.approx(path.value_at(s), abs=1e-14)
-    zero = Path(g, np.zeros(g.n_points))
-    assert predict_bar(zero, 0.5, 0.75) == 0.0
+    assert predict_bar_batch(g, path, s, s)[0] == pytest.approx(path[0, g.index_of(s)], abs=1e-14)
+    zero = np.zeros((1, g.n_points))
+    assert predict_bar_batch(g, zero, 0.5, 0.75)[0] == 0.0
 
 
 def test_predict_bar_orthogonality_mc():

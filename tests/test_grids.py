@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levybridge.grids import Path, TimeGrid
+from levybridge.grids import TimeGrid
 
 
 def test_uniform_grid_endpoints_exact():
@@ -44,20 +44,3 @@ def test_index_and_snapping():
     np.testing.assert_array_equal(g.snap_below([0.05, 0.7, 1.0]), [0, 7, 10])
     np.testing.assert_array_equal(g.snap_below(g.points), np.arange(11))
 
-
-def test_path_validation():
-    g = TimeGrid.uniform(1.0, 4)
-    with pytest.raises(ValueError):
-        Path(g, np.zeros(4))
-    with pytest.raises(ValueError):
-        Path(g, np.array([0.0, 1.0, np.inf, 0.0, 0.0]))
-
-
-def test_path_csv_roundtrip_precision():
-    g = TimeGrid.uniform(1.0, 2)
-    p = Path(g, np.array([0.0, 1.0 / 3.0, 0.1 + 0.2]))
-    text = p.to_csv_string()
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,value"
-    parsed = [float(line.split(",")[1]) for line in lines[1:]]
-    np.testing.assert_array_equal(parsed, p.values)  # 17 significant digits round-trip

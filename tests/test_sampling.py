@@ -5,10 +5,7 @@ from levybridge.grids import TimeGrid
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
 from levybridge import sampling
-from levybridge.sampling import (build_bar_beta, build_eta, build_kappa,
-                                 build_tilde_beta, build_zeta, reverse_index,
-                                 sample_brownian, sample_brownian_bridge,
-                                 sample_kappa_batch, sample_levy)
+from levybridge.sampling import sample_kappa_batch
 
 GAMMA = LevyLaw.standard_gamma()
 POIS = LevyLaw.poisson(1.0)
@@ -21,7 +18,7 @@ def _model(levy=GAMMA, mu=1.0, default_law=None):
 
 def test_brownian_starts_at_zero():
     g = TimeGrid(np.array([0.0, 1.0]))
-    assert sample_brownian(g, 123).values[0] == 0.0
+    assert sampling.brownian_batch(g, 123, 1)[0, 0] == 0.0
 
 
 def test_brownian_moments():
@@ -38,9 +35,9 @@ def test_brownian_moments():
 def test_bridge_pinned_exactly():
     g = TimeGrid.uniform(2.0, 33)
     for seed in range(5):
-        p = sample_brownian_bridge(g, seed)
-        assert p.values[0] == 0.0
-        assert p.values[-1] == 0.0
+        p = sampling.bridge_values(g, sampling.brownian_batch(g, seed, 1))[0]
+        assert p[0] == 0.0
+        assert p[-1] == 0.0
 
 
 def test_bridge_variance_mc():
@@ -56,8 +53,8 @@ def test_bridge_variance_mc():
 def test_levy_starts_at_zero_and_moments():
     g = TimeGrid.uniform(1.0, 16)
     for law in (GAMMA, POIS):
-        p = sample_levy(law, g, 3)
-        assert p.values[0] == 0.0
+        p = sampling.levy_batch(law, g, 3, 1)[0]
+        assert p[0] == 0.0
     vals = sampling.levy_batch(GAMMA, g, 21, 100_000)[:, -1]
     assert abs(vals.mean() - 1.0) < 4 * vals.std() / np.sqrt(vals.size)
     sq = (vals - 1.0) ** 2
@@ -68,20 +65,20 @@ def test_levy_starts_at_zero_and_moments():
 
 def test_gamma_increments_nondecreasing():
     g = TimeGrid.uniform(1.0, 64)
-    p = sample_levy(GAMMA, g, 7)
-    assert np.all(np.diff(p.values) >= 0.0)
+    p = sampling.levy_batch(GAMMA, g, 7, 1)[0]
+    assert np.all(np.diff(p) >= 0.0)
 
 
-def test_reverse_index():
+def test_reverse_values():
     g = TimeGrid.uniform(1.0, 10)
-    const = sampling.Path(g, np.full(11, 3.25))
-    assert np.array_equal(reverse_index(const).values, const.values)
-    p = sample_levy(GAMMA, g, 1)
-    r = reverse_index(p)
-    assert r.values[0] == p.values[-1]
-    assert r.values[-1] == p.values[0]
+    const = np.full(11, 3.25)
+    assert np.array_equal(sampling.reverse_values(g, const), const)
+    p = sampling.levy_batch(GAMMA, g, 1, 1)[0]
+    r = sampling.reverse_values(g, p)
+    assert r[0] == p[-1]
+    assert r[-1] == p[0]
     with pytest.raises(ValueError):
-        reverse_index(sampling.Path(TimeGrid(np.array([0.0, 0.2, 1.0])), np.zeros(3)))
+        sampling.reverse_values(TimeGrid(np.array([0.0, 0.2, 1.0])), np.zeros(3))
 
 
 def test_reversed_levy_covariance():
@@ -98,10 +95,10 @@ def test_reversed_levy_covariance():
 
 def test_bar_beta_endpoints_and_variance():
     g = TimeGrid.uniform(1.0, 8)
-    w, b = sample_brownian(g, 10), sample_brownian(g, 11)
-    bar = build_bar_beta(w, b)
-    assert bar.values[0] == 0.0
-    assert bar.values[-1] == b.values[-1]
+    w, b = sampling.brownian_batch(g, 10, 1)[0], sampling.brownian_batch(g, 11, 1)[0]
+    bar = sampling.bar_beta_values(g, w, b)
+    assert bar[0] == 0.0
+    assert bar[-1] == b[-1]
     n = 100_000
     vals = sampling.bar_beta_values(g, sampling.brownian_batch(g, 12, n),
                                     sampling.brownian_batch(g, 13, n))
@@ -115,10 +112,10 @@ def test_bar_beta_endpoints_and_variance():
 
 def test_tilde_beta_double_pinning_and_moments():
     g = TimeGrid.uniform(1.0, 8)
-    w, b = sample_brownian(g, 20), sample_brownian(g, 21)
-    til = build_tilde_beta(w, b)
-    assert til.values[0] == 0.0
-    assert til.values[-1] == 0.0  # B_0 = 0 kills the pin at T
+    w, b = sampling.brownian_batch(g, 20, 1)[0], sampling.brownian_batch(g, 21, 1)[0]
+    til = sampling.tilde_beta_values(g, w, b)
+    assert til[0] == 0.0
+    assert til[-1] == 0.0  # B_0 = 0 kills the pin at T
     n = 100_000
     vals = sampling.tilde_beta_values(g, sampling.brownian_batch(g, 22, n),
                                       sampling.brownian_batch(g, 23, n))
@@ -130,9 +127,10 @@ def test_tilde_beta_double_pinning_and_moments():
 
 def test_zeta_endpoints_and_mean():
     g = TimeGrid.uniform(1.0, 8)
-    z = build_zeta(sample_brownian(g, 30), sample_levy(GAMMA, g, 31))
-    assert z.values[0] == 0.0
-    assert z.values[-1] == 0.0
+    w, x = sampling.brownian_batch(g, 30, 1)[0], sampling.levy_batch(GAMMA, g, 31, 1)[0]
+    z = sampling.zeta_values(g, w, x)
+    assert z[0] == 0.0
+    assert z[-1] == 0.0
     n = 100_000
     vals = sampling.sample_zeta_batch(g, GAMMA, 32, n)
     v = vals[:, g.index_of(0.5)]
@@ -158,12 +156,12 @@ def test_zeta_poisson_jumps_match_reversed_jumps():
 def test_eta_signal_dominates_at_maturity():
     g = TimeGrid.uniform(1.0, 16)
     model = _model()
-    zeta = build_zeta(sample_brownian(g, 50), sample_levy(GAMMA, g, 51))
-    eta = build_eta(model, 1.0, zeta)
-    assert eta.values[-1] == model.sigma * 1.0 * 1.0
-    eta0 = build_eta(MarketModel(1.0, 1e-12, 1.0, RateCurve.flat(0.0),
-                                 PayoffDistribution.binary(0.0, 1.0, 0.5), GAMMA), 1.0, zeta)
-    np.testing.assert_allclose(eta0.values, zeta.values, atol=1e-10)
+    w, x = sampling.brownian_batch(g, 50, 1)[0], sampling.levy_batch(GAMMA, g, 51, 1)[0]
+    zeta = sampling.zeta_values(g, w, x)
+    eta = sampling.eta_values(g, model.sigma, 1.0, zeta)
+    assert eta[-1] == model.sigma * 1.0 * 1.0
+    eta0 = sampling.eta_values(g, 1e-12, 1.0, zeta)
+    np.testing.assert_allclose(eta0, zeta, atol=1e-10)
 
 
 def test_eta_terminal_clusters():
@@ -177,27 +175,23 @@ def test_eta_terminal_clusters():
 def test_kappa_ray_property():
     g = TimeGrid.uniform(1.0, 20)
     model = _model(mu=1.0)
-    w, x = sample_brownian(g, 70), sample_levy(GAMMA, g, 71)
-    kap = build_kappa(model, 0.62, 1.0, w, x)
+    w, x = sampling.brownian_batch(g, 70, 1), sampling.levy_batch(GAMMA, g, 71, 1)
     k_idx = g.snap_below(0.62)
     assert k_idx == 12  # nearest grid point below 0.62 on the 0.05 lattice
+    kap = sampling.kappa_values(g, model.sigma, model.levy_drift_scale, [k_idx], [1.0], w, x)[0]
     for j in range(k_idx, g.n_points):
-        assert kap.values[j] == model.sigma * g.points[j] * 1.0
-    assert kap.values[0] == 0.0
-    assert kap.values[k_idx] == model.sigma * g.points[k_idx]
-    with pytest.raises(ValueError):
-        build_kappa(model, 1.5, 1.0, w, x)
-    with pytest.raises(ValueError):
-        build_kappa(model, 0.0, 1.0, w, x)
+        assert kap[j] == model.sigma * g.points[j] * 1.0
+    assert kap[0] == 0.0
+    assert kap[k_idx] == model.sigma * g.points[k_idx]
 
 
 def test_kappa_mu_zero_tau_T_reduces_to_bridge_noise():
     g = TimeGrid.uniform(1.0, 16)
     model = _model(mu=0.0)
-    w, x = sample_brownian(g, 80), sample_levy(GAMMA, g, 81)
-    kap = build_kappa(model, 1.0, 1.0, w, x)
-    bridge = sampling.bridge_values(g, w.values)
-    np.testing.assert_allclose(kap.values, model.sigma * g.points * 1.0 + bridge, atol=1e-14)
+    w, x = sampling.brownian_batch(g, 80, 1), sampling.levy_batch(GAMMA, g, 81, 1)
+    kap = sampling.kappa_values(g, model.sigma, model.levy_drift_scale, [g.snap_below(1.0)], [1.0], w, x)[0]
+    bridge = sampling.bridge_values(g, w[0])
+    np.testing.assert_allclose(kap, model.sigma * g.points * 1.0 + bridge, atol=1e-14)
 
 
 def test_kappa_batch_figure_setup():
@@ -238,4 +232,4 @@ def test_streams_are_distinct():
 def test_grid_mismatch_rejected():
     g1, g2 = TimeGrid.uniform(1.0, 8), TimeGrid.uniform(1.0, 16)
     with pytest.raises(ValueError):
-        build_zeta(sample_brownian(g1, 1), sample_levy(GAMMA, g2, 2))
+        sampling.zeta_values(g1, sampling.brownian_batch(g1, 1, 1), sampling.levy_batch(GAMMA, g2, 2, 1))

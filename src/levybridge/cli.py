@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,14 +54,19 @@ def _load_model(args) -> MarketModel:
 
 
 def _cmd_simulate(args) -> int:
-    grid = TimeGrid.uniform(args.T, args.steps)
+    # eta and kappa run to the model's maturity: with --model it sets T, not --T
+    if args.process in ("eta", "kappa"):
+        source = _load_model(args)
+        T = source.maturity
+    else:
+        source = LevyLaw.named(args.levy, args.lam)
+        T = args.T
+    grid = TimeGrid.uniform(T, args.steps)
     n = args.paths
-    seed = args.seed
-    source = _load_model(args) if args.process in ("eta", "kappa") else LevyLaw.named(args.levy, args.lam)
-    vals = PROCESS_SAMPLERS[args.process](grid, source, seed, n, 0)
+    vals = PROCESS_SAMPLERS[args.process](grid, source, args.seed, n, 0)
     header = ["t"] + [f"path_{i}" for i in range(n)]
     rows = ([float(t)] + [float(v) for v in vals[:, k]] for k, t in enumerate(grid.points))
-    _write_csv(args.output, _config_of(args), header, rows)
+    _write_csv(args.output, {**_config_of(args), "T": T}, header, rows)
     return 0
 
 
@@ -158,7 +164,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="levybridge",
                                      description="Bridge-with-Levy-pinning simulation and pricing")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,13 +2,16 @@
 
 Every oracle is seed-deterministic: path generation is split into fixed-size
 batches with per-batch streams, partial sums are combined in batch order, and
-the optional thread pool (capped by BRIDGE_THREADS) only reorders work, never
-results.  Oracles read the formula under test only to obtain the target.
+the threads only reorder work, never results.  Batches run on
+``sampling.worker_count()`` threads, the calling thread among them
+(BRIDGE_THREADS when set, else the usable CPUs; 1 runs them serially), and
+inside each batch the sampler draws its two streams concurrently.  Oracles
+read the formula under test only to obtain the target.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ from . import default_pricing, pricing
 from .grids import TimeGrid
 from .laws import LevyLaw
 from .model import MarketModel
-from .sampling import PROCESS_SAMPLERS, sample_eta_batch, sample_kappa_batch
+from .sampling import PROCESS_SAMPLERS, sample_eta_batch, sample_kappa_batch, worker_count
 
 PASS_SIGMAS = 4.0
 BATCH_SIZE = 65_536
@@ -51,13 +54,6 @@ def _make_report(name, estimate, std_error, n_paths, target, sigmas=PASS_SIGMAS)
                     float(z), bool(abs(z) <= sigmas))
 
 
-def _worker_count() -> int:
-    env = os.environ.get("BRIDGE_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _batches(n_paths: int):
     full, rem = divmod(n_paths, BATCH_SIZE)
     sizes = [BATCH_SIZE] * full + ([rem] if rem else [])
@@ -65,13 +61,35 @@ def _batches(n_paths: int):
 
 
 def _map_batches(fn, n_paths: int):
-    """Apply fn(batch_index, size) to every batch; results come back in batch order."""
+    """Apply fn(batch_index, size) to every batch; results come back in batch order.
+
+    The calling thread takes batches in turn with worker_count() - 1 pool
+    threads: it would otherwise only wait, and each extra thread keeps a malloc
+    arena holding its freed batch arrays.
+    """
     plan = _batches(n_paths)
-    workers = _worker_count()
-    if workers == 1 or len(plan) == 1:
-        return [fn(b, size) for b, size in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda bs: fn(*bs), plan))
+    results = [None] * len(plan)
+    todo = iter(plan)
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            results[item[0]] = fn(*item)
+
+    helpers = min(worker_count(), len(plan)) - 1
+    if helpers < 1:
+        work()
+        return results
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        pending = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for job in pending:
+            job.result()
+    return results
 
 
 # -- process builders -----------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from levybridge import mc
+from levybridge import cli, mc
 from levybridge.cli import main
 from levybridge.laws import LevyLaw
 
@@ -62,6 +62,57 @@ def test_simulate_eta_with_model_file(tmp_path):
     assert rc == 0
     last = [float(v) for v in _read(out)[-1].split(",")]
     assert set(last[1:]) <= {0.0, 1.0}  # terminal values sit on the signal rays
+
+
+def test_simulate_with_model_runs_to_its_maturity(tmp_path):
+    # a T = 2 model: the grid and the config follow the model, so default
+    # times past t = 1 are not clipped to t = 1
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps({"T": 2.0, "sigma": 1.0, "mu": 0.5, "rate": {"kind": "flat", "r": 0.0},
+                                "payoff": {"support": [0.0, 1.0], "probs": [0.5, 0.5]},
+                                "levy": {"kind": "gamma"},
+                                "default_law": {"kind": "atoms", "times": [1.5, 1.8], "weights": [0.5, 0.5]}}))
+    for process in ("eta", "kappa"):
+        out = tmp_path / f"{process}.csv"
+        assert main(["simulate", "--process", process, "--model", str(path), "--steps", "20",
+                     "--paths", "6", "--seed", "5", "-o", str(out)]) == 0
+        lines = _read(out)
+        assert json.loads(lines[0].removeprefix("# config: "))["T"] == 2.0
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        assert rows.shape == (21, 7)
+        assert rows[-1, 0] == 2.0
+        assert set(rows[-1, 1:]) <= {0.0, 2.0}  # sigma * T * h
+    # every path has defaulted by t = 1.8, so at t = 1.9 it sits on its ray
+    assert set(rows[19, 1:]) <= {0.0, rows[19, 0]}
+    # and none had defaulted by t = 1: their values there are off the rays
+    assert not set(rows[10, 1:]) & {0.0, rows[10, 0]}
+
+
+def _simulate_table():
+    here = os.path.join(os.path.dirname(__file__), "reference")
+    spec = importlib.util.spec_from_file_location("make_simulate_sha256",
+                                                  os.path.join(here, "make_simulate_sha256.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with open(module.OUT) as fh:
+        return module, json.load(fh)
+
+
+@pytest.mark.parametrize("threads", [None, "1", "2"], ids=["threads-unset", "threads-1", "threads-2"])
+def test_simulate_csv_bytes_match_digest_table(tmp_path, monkeypatch, threads):
+    # tests/reference/make_simulate_sha256.py wrote the digests; seeded CSVs
+    # must stay byte-identical under every thread count
+    if threads is None:
+        monkeypatch.delenv("BRIDGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BRIDGE_THREADS", threads)
+    module, table = _simulate_table()
+    assert table["args"] == module.ARGS
+    assert len(table["sha256"]) == len(module.PROCESSES) * len(module.LEVY) == 21
+    for process in module.PROCESSES:
+        for levy in module.LEVY:
+            got = module.digest(module.case_argv(process, levy), str(tmp_path))
+            assert got == table["sha256"][f"{process}/{levy}"], (process, levy)
 
 
 def test_price_command_eta(tmp_path):
@@ -256,6 +307,29 @@ def test_non_positive_count_option_exits_2(tmp_path, capsys, argv):
     assert err.value.code == 2
     assert not out.exists()
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_failing_call_then_good_call_behave_like_fresh_calls(tmp_path, capsys):
+    # the parser is built once per process; a call that argparse rejects must
+    # leave nothing behind for the next call
+    bad = ["simulate", "--process", "zeta", "--paths", "0"]
+    good = ["simulate", "--process", "eta", "--steps", "8", "--paths", "3", "--seed", "2"]
+
+    def run_pair(tag):
+        with pytest.raises(SystemExit) as err:
+            main(bad + ["-o", str(tmp_path / f"bad-{tag}.csv")])
+        assert err.value.code == 2
+        bad_err = capsys.readouterr().err
+        out = tmp_path / f"good-{tag}.csv"
+        assert main(good + ["-o", str(out)]) == 0
+        return bad_err, out.read_bytes()
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = run_pair("cached")
+    cli.build_parser.cache_clear()
+    fresh = run_pair("fresh")
+    assert cached == fresh
+    assert "expected a positive integer" in cached[0]
 
 
 def test_unknown_command_exits_2():

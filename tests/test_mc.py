@@ -58,6 +58,35 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert base.std_error == threaded.std_error
 
 
+def test_oracles_identical_across_thread_counts(monkeypatch):
+    # several batches, so batch threads and each batch's stream thread run at once
+    monkeypatch.setattr(mc, "BATCH_SIZE", 9_000)
+    n = 40_000
+    zeta = grid_builder("zeta", 1.0, 20, levy=GAMMA)
+    oracles = {
+        "binning-eta": lambda: posterior_binning(_eta_model(), 0.5, 0.4, 0.05, n, 13),
+        "binning-kappa": lambda: posterior_binning(_kappa_model(), 0.5, 0.37, 0.05, n, 19),
+        "option": lambda: option_mc(_eta_model(), 0.5, 0.5, n, 23, 0.3),
+        "histogram": lambda: conditional_histogram(zeta, 0.3, 0.6, 0.2, 0.1, 8, n, 11,
+                                                   lambda y: np.exp(-2.0 * (y - 0.3) ** 2), (-2.0, 2.5)),
+    }
+    runs = []
+    for threads in (None, "1", "2", "4"):
+        if threads is None:
+            monkeypatch.delenv("BRIDGE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BRIDGE_THREADS", threads)
+        runs.append({name: oracle() for name, oracle in oracles.items()})
+    assert all(run == runs[0] for run in runs[1:])
+    assert runs[0]["option"].n_paths == n
+
+
+def test_bridge_threads_checked_before_any_batch(monkeypatch):
+    monkeypatch.setenv("BRIDGE_THREADS", "abc")
+    with pytest.raises(ValueError, match="BRIDGE_THREADS must be a positive integer, got 'abc'"):
+        tower_check(_eta_model(), 0.5, 2 * mc.BATCH_SIZE, 21)
+
+
 def test_histogram_empty_window_errors():
     b = grid_builder("zeta", 1.0, 10, levy=GAMMA)
     with pytest.raises(ArithmeticError):
@@ -135,3 +164,18 @@ def test_run_suite_fast_all_pass():
     assert not failed, failed
     with pytest.raises(ValueError):
         run_suite(1, "huge")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failing_batch_raises_without_hanging(monkeypatch, threads):
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    monkeypatch.setattr(mc, "BATCH_SIZE", 10)
+
+    def fn(batch, size):
+        if batch in (1, 3):
+            raise ArithmeticError(f"batch {batch}")
+        return size
+
+    with pytest.raises(ArithmeticError):
+        mc._map_batches(fn, 45)
+    assert mc._map_batches(lambda batch, size: (batch, size), 45) == [(0, 10), (1, 10), (2, 10), (3, 10), (4, 5)]

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -233,3 +236,170 @@ def test_grid_mismatch_rejected():
     g1, g2 = TimeGrid.uniform(1.0, 8), TimeGrid.uniform(1.0, 16)
     with pytest.raises(ValueError):
         sampling.zeta_values(g1, sampling.brownian_batch(g1, 1, 1), sampling.levy_batch(GAMMA, g2, 2, 1))
+
+
+def _kappa_reference(grid, sigma, mu, tau_idx, h, w, x):
+    """kappa_values as it was written before the paths were composed in place."""
+    t = grid.points
+    n, m = w.shape
+    tau_idx = np.asarray(tau_idx, dtype=int).reshape(n, 1)
+    h = np.asarray(h, dtype=float).reshape(n, 1)
+    tau = t[tau_idx]
+    w_tau = np.take_along_axis(w, tau_idx, axis=1)
+    x_rev = np.take_along_axis(x, np.maximum(tau_idx - np.arange(m), 0), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bridge = w - np.where(tau > 0.0, t / np.where(tau > 0.0, tau, 1.0), 0.0) * w_tau
+    noise = bridge + mu * t * x_rev
+    before = np.arange(m) < tau_idx
+    return sigma * t * h + np.where(before, noise, 0.0)
+
+
+@pytest.mark.parametrize("law", [GAMMA, POIS], ids=["gamma", "poisson"])
+def test_kappa_values_equal_reference_formula_and_leave_inputs_alone(law):
+    g = TimeGrid.uniform(1.0, 16)
+    n = 300
+    w, x = sampling.brownian_batch(g, 100, n), sampling.levy_batch(law, g, 101, n)
+    rng = np.random.default_rng(102)
+    tau_idx = rng.integers(0, g.n_points, n)
+    tau_idx[:3] = [0, g.n_steps // 2, g.n_steps]  # at 0, mid-grid and at T
+    h = rng.choice([0.0, 0.4, 1.0], n)
+    w0, x0, tau0, h0 = w.copy(), x.copy(), tau_idx.copy(), h.copy()
+    ref = _kappa_reference(g, 0.8, 0.6, tau_idx, h, w, x)
+    got = sampling.kappa_values(g, 0.8, 0.6, tau_idx, h, w, x)
+    assert np.array_equal(got, ref)
+    for arr, orig in ((w, w0), (x, x0), (tau_idx, tau0), (h, h0)):
+        assert np.array_equal(arr, orig)
+    np.testing.assert_array_equal(got[0], 0.8 * g.points * h[0])  # defaulted at t = 0
+    assert np.array_equal(sampling.kappa_values(g, 0.8, 0.6, tau_idx, h, w, x, out=w), ref)
+
+
+def test_samplers_compose_blocks_like_the_reference_formulas():
+    # the samplers compose _BLOCK_ROWS rows at a time in place; the values are
+    # the formulas' over the whole batch
+    g = TimeGrid.uniform(1.0, 16)
+    n = 2 * sampling._BLOCK_ROWS + 37
+    law = DefaultTimeLaw.atoms([0.01, 0.5, 1.0], [0.2, 0.5, 0.3], horizon=1.0)
+    model = _model(mu=0.6, default_law=law)
+    w, x = sampling.brownian_batch(g, 103, n, key=(2, 0)), sampling.levy_batch(GAMMA, g, 103, n, key=(2, 1))
+    vals, tau_idx, h, _ = sample_kappa_batch(model, g, 103, n, 2)
+    assert {0, 8, 16} <= set(tau_idx)
+    assert np.array_equal(vals, _kappa_reference(g, model.sigma, model.levy_drift_scale, tau_idx, h, w, x))
+    t = g.points / g.horizon
+    zeta = w - t * w[:, -1:] + t * x[:, ::-1]
+    eta, h = sampling.sample_eta_batch(model, g, 103, n, 2)
+    assert np.array_equal(eta, model.sigma * g.points * h[:, None] + zeta)
+    assert np.array_equal(sampling.sample_zeta_batch(g, GAMMA, 103, n, 2), zeta)
+
+
+def test_compositions_leave_inputs_alone_and_compose_in_out():
+    g = TimeGrid.uniform(1.0, 8)
+    w, b, x = (sampling.brownian_batch(g, 110, 5), sampling.brownian_batch(g, 111, 5),
+               sampling.levy_batch(GAMMA, g, 112, 5))
+    h = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+    t = g.points / g.horizon
+    bridge = w - t * w[:, -1:]
+    expect = {  # the formulas as written before the paths were composed in place
+        "bridge": (lambda out=None: sampling.bridge_values(g, w, out=out), bridge),
+        "bar-beta": (lambda: sampling.bar_beta_values(g, w, b), bridge + t * b),
+        "tilde-beta": (lambda: sampling.tilde_beta_values(g, w, b), bridge + t * b[:, ::-1]),
+        "zeta": (lambda out=None: sampling.zeta_values(g, w, x, out=out), bridge + t * x[:, ::-1]),
+        "eta": (lambda out=None: sampling.eta_values(g, 0.7, h, x, out=out), 0.7 * g.points * h[:, None] + x),
+    }
+    originals = [a.copy() for a in (w, b, x, h)]
+    for name, (compose, ref) in expect.items():
+        assert np.array_equal(compose(), ref), name
+        for arr, orig in zip((w, b, x, h), originals):
+            assert np.array_equal(arr, orig), name
+    for name in ("bridge", "zeta", "eta"):
+        compose, ref = expect[name]
+        out = np.full_like(w, np.nan)
+        assert compose(out) is out and np.array_equal(out, ref), name
+
+
+@pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.named("none", 1.0)], ids=["gamma", "poisson", "none"])
+def test_block_draws_equal_one_draw(law):
+    # paths are drawn _BLOCK_ROWS rows at a time; the values are those of one
+    # draw of every increment
+    g = TimeGrid.uniform(1.0, 12)
+    n = 2 * sampling._BLOCK_ROWS + 5
+    dt = g.step_sizes()
+    rng = sampling.rng_for(120, (3, 1))
+    if law.kind == "gamma":
+        incs = rng.gamma(shape=dt, scale=1.0, size=(n, dt.size))
+    elif law.kind == "poisson":
+        incs = rng.poisson(lam=law.rate * dt, size=(n, dt.size)).astype(float)
+    else:
+        incs = np.zeros((n, dt.size))
+    assert np.array_equal(sampling.levy_batch(law, g, 120, n, key=(3, 1))[:, 1:], np.cumsum(incs, axis=1))
+    incs = sampling.rng_for(121, (3, 0)).normal(0.0, np.sqrt(dt), size=(n, dt.size))
+    w = sampling.brownian_batch(g, 121, n, key=(3, 0))
+    assert np.array_equal(w[:, 1:], np.cumsum(incs, axis=1)) and np.all(w[:, 0] == 0.0)
+
+
+def _batch_samplers():
+    g = TimeGrid.uniform(1.0, 24)
+    atoms = DefaultTimeLaw.atoms([0.01, 0.5, 1.0], [0.2, 0.5, 0.3], horizon=1.0)
+    return {
+        "zeta": lambda b: (sampling.sample_zeta_batch(g, POIS, 130, 1500, b),),
+        "eta": lambda b: sampling.sample_eta_batch(_model(), g, 131, 1500, b),
+        "kappa": lambda b: sample_kappa_batch(_model(mu=0.5, default_law=atoms), g, 132, 1500, b),
+    }
+
+
+@pytest.mark.parametrize("name", ["zeta", "eta", "kappa"])
+def test_batch_samplers_identical_across_thread_counts(monkeypatch, name):
+    sample = _batch_samplers()[name]
+    runs = []
+    for threads in (None, "1", "2", "4"):
+        if threads is None:
+            monkeypatch.delenv("BRIDGE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BRIDGE_THREADS", threads)
+        runs.append([sample(b) for b in (0, 1)])
+    for run in runs[1:]:
+        for got, ref in zip(run, runs[0]):
+            for a, r in zip(got, ref):
+                assert np.array_equal(a, r)
+    assert not np.array_equal(runs[0][0][0], runs[0][1][0])  # the two batches differ
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bridge_threads_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("BRIDGE_THREADS", value)
+    with pytest.raises(ValueError, match="BRIDGE_THREADS"):
+        sampling.worker_count()
+    with pytest.raises(ValueError, match="BRIDGE_THREADS"):
+        sampling.sample_zeta_batch(TimeGrid.uniform(1.0, 4), GAMMA, 1, 3)
+
+
+def test_worker_count_rule(monkeypatch):
+    monkeypatch.setenv("BRIDGE_THREADS", "3")
+    assert sampling.worker_count() == 3
+    monkeypatch.delenv("BRIDGE_THREADS")
+    assert sampling.worker_count() == len(os.sched_getaffinity(0))
+
+
+def _zeta_in_child(queue):
+    g = TimeGrid.uniform(1.0, 8)
+    queue.put(sampling.sample_zeta_batch(g, GAMMA, 140, 50, 1))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_draws_on_its_own_stream_pool(monkeypatch):
+    # the parent's stream thread exists before the fork and is idle; the child
+    # must still get its second stream drawn
+    monkeypatch.setenv("BRIDGE_THREADS", "2")
+    g = TimeGrid.uniform(1.0, 8)
+    ref = sampling.sample_zeta_batch(g, GAMMA, 140, 50, 1)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_zeta_in_child, args=(queue,), daemon=True)
+    child.start()
+    try:
+        got = queue.get(timeout=30)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(got, ref)

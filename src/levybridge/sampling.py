@@ -7,14 +7,22 @@ drawn from distinct streams of one root seed are independent.
 
 A batch's two large streams (W under key (batch, 0), the Levy or second
 Brownian path under key (batch, 1)) are drawn at the same time, the second on
-a thread of one module-level pool.  Philox is counter-based, so a stream's
-values depend only on its (seed, key), never on when or where it is drawn.
-The library's thread count is ``worker_count()``; at 1 everything is serial.
+a thread of one module-level pool.  That thread reports each block of rows as
+it finishes it, and the calling thread, once it has drawn W, composes each
+block as soon as both streams hold it.  If the pool has not started the
+second stream by then, the calling thread draws it itself; inside
+``_streams_on_this_thread`` (every worker of an mc batch map busy) it always
+does.  Philox is counter-based, so a stream's values depend only on its
+(seed, key), never on when or where it is drawn.  The library's thread count
+is ``worker_count()``; at 1 everything is serial.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -62,22 +70,18 @@ if hasattr(os, "register_at_fork"):
     # counts them as idle would never run the child's draws
     os.register_at_fork(after_in_child=_new_stream_pool)
 
+_own_streams = threading.local()
 
-def _draw_streams(grid: TimeGrid, n: int, first, second):
-    """Two independent stream draws into fresh (n, n_points) arrays, the second on the stream pool.
 
-    first(out) and second(out) fill out.  Both arrays are allocated on the
-    calling thread, so the pool thread's malloc arena keeps no batch-sized block.
-    """
-    a, b = np.empty((n, grid.n_points)), np.empty((n, grid.n_points))
-    if worker_count() == 1:
-        first(a)
-        second(b)
-    else:
-        pending = _STREAMS.submit(second, b)
-        first(a)
-        pending.result()
-    return a, b
+@contextlib.contextmanager
+def _streams_on_this_thread():
+    """Within it, the samplers draw both streams of each batch on the calling thread."""
+    before = getattr(_own_streams, "on", False)
+    _own_streams.on = True
+    try:
+        yield
+    finally:
+        _own_streams.on = before
 
 
 def rng_for(seed: int, key: int | tuple[int, ...] | None = None) -> np.random.Generator:
@@ -100,40 +104,88 @@ def _blocks(n: int) -> list[slice]:
     return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
 
 
-def _paths(grid: TimeGrid, n: int, draw, out: np.ndarray | None) -> np.ndarray:
+def _paths(grid: TimeGrid, n: int, draw, out: np.ndarray | None, done=None) -> np.ndarray:
     """Paths from 0 with the increments draw(rows) returns, _BLOCK_ROWS rows at a time.
 
     A generator fills its output in C order, so drawing the rows block by block
-    gives the same values as drawing all of them at once.
+    gives the same values as drawing all of them at once.  done(rows), when
+    given, is called with each block's slice once its paths are in out.
     """
     if out is None:
         out = np.empty((n, grid.n_points))
-    out[:, 0] = 0.0
     for rows in _blocks(n):
+        out[rows, 0] = 0.0
         np.cumsum(draw(rows.stop - rows.start), axis=1, out=out[rows, 1:])
+        if done is not None:
+            done(rows)
     return out
 
 
-def brownian_batch(grid: TimeGrid, seed: int, n: int, key=None, out: np.ndarray | None = None) -> np.ndarray:
+def _brownian_draw(grid: TimeGrid, seed: int, key):
+    rng = rng_for(seed, key)
+    sd = np.sqrt(grid.step_sizes())
+    # numpy's normal(0.0, sd) is 0.0 + sd * standard_normal(), bit for bit
+    return lambda rows: 0.0 + sd * rng.standard_normal((rows, sd.size))
+
+
+def _levy_draw(law: LevyLaw, grid: TimeGrid, seed: int, key):
     rng = rng_for(seed, key)
     dt = grid.step_sizes()
-    sd = np.sqrt(dt)
-    return _paths(grid, n, lambda rows: rng.normal(0.0, sd, size=(rows, dt.size)), out)
+    if law.kind == GAMMA:  # numpy's gamma(dt, 1.0), bit for bit
+        return lambda rows: rng.standard_gamma(dt, size=(rows, dt.size))
+    if law.kind == POISSON:
+        return lambda rows: rng.poisson(lam=law.rate * dt, size=(rows, dt.size)).astype(float)
+    if law.kind == DEGENERATE:
+        return lambda rows: np.zeros((rows, dt.size))
+    raise ValueError(law.kind)  # pragma: no cover
+
+
+def brownian_batch(grid: TimeGrid, seed: int, n: int, key=None, out: np.ndarray | None = None) -> np.ndarray:
+    return _paths(grid, n, _brownian_draw(grid, seed, key), out)
 
 
 def levy_batch(law: LevyLaw, grid: TimeGrid, seed: int, n: int, key=None,
                out: np.ndarray | None = None) -> np.ndarray:
-    rng = rng_for(seed, key)
-    dt = grid.step_sizes()
-    if law.kind == GAMMA:
-        draw = lambda rows: rng.gamma(shape=dt, scale=1.0, size=(rows, dt.size))
-    elif law.kind == POISSON:
-        draw = lambda rows: rng.poisson(lam=law.rate * dt, size=(rows, dt.size)).astype(float)
-    elif law.kind == DEGENERATE:
-        draw = lambda rows: np.zeros((rows, dt.size))
-    else:  # pragma: no cover
-        raise ValueError(law.kind)
-    return _paths(grid, n, draw, out)
+    return _paths(grid, n, _levy_draw(law, grid, seed, key), out)
+
+
+def _draw_streams(grid: TimeGrid, n: int, first, second, compose) -> np.ndarray:
+    """Paths of two independent streams, composed block by block into the first's.
+
+    first and second are increment draws as for _paths.  compose(rows, a, b)
+    composes one block in place into a, the first stream's rows, from b, the
+    second's.  The second stream is drawn on the stream pool, which reports
+    each block when it is done; the calling thread draws the first stream and
+    then composes each block as soon as the second holds it.  If the pool has
+    not started the second stream by then, or every stream is to be drawn on
+    this thread, the calling thread draws it and composes each block after
+    drawing it.  Both arrays are allocated on the calling thread, so the pool
+    thread's malloc arena keeps no batch-sized block.
+    """
+    a, b = np.empty((n, grid.n_points)), np.empty((n, grid.n_points))
+
+    def compose_block(rows):
+        compose(rows, a[rows], b[rows])
+
+    pending = None
+    if worker_count() > 1 and not getattr(_own_streams, "on", False):
+        ready = queue.SimpleQueue()
+
+        def draw_second():
+            try:
+                _paths(grid, n, second, b, ready.put)
+            finally:
+                ready.put(None)  # after the last block, or after an error
+
+        pending = _STREAMS.submit(draw_second)
+    _paths(grid, n, first, a)
+    if pending is None or pending.cancel():
+        _paths(grid, n, second, b, compose_block)
+        return a
+    for rows in iter(ready.get, None):
+        compose_block(rows)
+    pending.result()  # raises the second stream's error, if it stopped early
+    return a
 
 
 def reverse_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
@@ -153,12 +205,12 @@ def _pinned(grid: TimeGrid, w: np.ndarray, end: np.ndarray, out: np.ndarray | No
     return np.add(out, (grid.points / grid.horizon) * end, out=out)
 
 
-def bar_beta_values(grid: TimeGrid, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _pinned(grid, w, b, None)
+def bar_beta_values(grid: TimeGrid, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return _pinned(grid, w, b, out)
 
 
-def tilde_beta_values(grid: TimeGrid, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _pinned(grid, w, reverse_values(grid, b), None)
+def tilde_beta_values(grid: TimeGrid, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return _pinned(grid, w, reverse_values(grid, b), out)
 
 
 def zeta_values(grid: TimeGrid, w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -176,71 +228,85 @@ def kappa_values(grid: TimeGrid, sigma: float, mu: float, tau_idx, h,
                  w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Default-time information paths with per-path default index.
 
-    tau_idx is the grid index the default time was snapped to.  Strictly
-    before it the path is signal + bridge of length tau + reversed Levy drift;
-    from tau onward the path equals sigma*t*h exactly.  out may be w.
+    tau_idx is the index of the grid point at or below the default time: the
+    samplers snap tau down, so a path whose tau falls between grid points
+    defaults up to one step early (an off-grid tau is not bridged exactly yet).
+    Strictly before it the path is signal + bridge of length tau + reversed
+    Levy drift; from tau onward the path equals sigma*t*h exactly.  The rows
+    that share a default index i are composed together from the slices
+    w[:, :i+1] and x[:, i:0:-1] and the row t[:i] / t[i].  out may be w.
     """
     t = grid.points
     w = np.atleast_2d(w)
     x = np.atleast_2d(x)
     n, m = w.shape
-    tau_idx = np.atleast_1d(np.asarray(tau_idx, dtype=int)).reshape(n, 1)
+    tau_idx = np.atleast_1d(np.asarray(tau_idx, dtype=int)).reshape(n)
     h = np.atleast_1d(np.asarray(h, dtype=float)).reshape(n, 1)
-    tau = t[tau_idx]
-    w_tau = np.take_along_axis(w, tau_idx, axis=1)
-    x_rev = np.take_along_axis(x, np.maximum(tau_idx - np.arange(m), 0), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bridge = w - np.where(tau > 0.0, t / np.where(tau > 0.0, tau, 1.0), 0.0) * w_tau
-    noise = bridge + mu * t * x_rev
-    before = np.arange(m) < tau_idx
-    return np.add(sigma * t * h, np.where(before, noise, 0.0), out=out)
+    if out is None:
+        out = np.empty((n, m))
+    signal, drift = sigma * t, mu * t
+    for i in np.unique(tau_idx):
+        rows = np.flatnonzero(tau_idx == i)
+        path = signal * h[rows]
+        if i > 0:
+            w_rows = w[rows, :i + 1]
+            bridge = w_rows[:, :i] - (t[:i] / t[i]) * w_rows[:, i:]
+            path[:, :i] += bridge + drift[:i] * x[rows, i:0:-1]
+        path[:, i:] += 0.0  # as signal + 0.0 from the default on: -0.0 becomes 0.0
+        out[rows] = path
+    return out
 
 
 # -- model-driven batch sampling ----------------------------------------------
 
-def _brownian_and_levy(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int):
-    return _draw_streams(grid, n, lambda out: brownian_batch(grid, seed, n, (batch, 0), out),
-                         lambda out: levy_batch(law, grid, seed, n, (batch, 1), out))
+# The two-stream samplers compose their paths block by block in place into the
+# fresh W as the Levy (or second Brownian) stream delivers its blocks, so a
+# composition's temporaries are block-sized whatever the batch size.
 
+def _brownian_and_levy(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int, compose) -> np.ndarray:
+    return _draw_streams(grid, n, _brownian_draw(grid, seed, (batch, 0)), _levy_draw(law, grid, seed, (batch, 1)),
+                         compose)
 
-# The samplers compose their paths block by block in place into the fresh W,
-# so a composition's temporaries are block-sized whatever the batch size.
 
 def sample_zeta_batch(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int = 0) -> np.ndarray:
-    w, x = _brownian_and_levy(grid, law, seed, n, batch)
-    for rows in _blocks(n):
-        zeta_values(grid, w[rows], x[rows], out=w[rows])
-    return w
+    return _brownian_and_levy(grid, law, seed, n, batch, lambda rows, w, x: zeta_values(grid, w, x, out=w))
 
 
 def sample_eta_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0):
     """Batch of eta paths; returns (values, payoff draws)."""
     h = model.payoff.sample(rng_for(seed, (batch, 2)), n)
-    zeta = sample_zeta_batch(grid, model.levy, seed, n, batch)
-    for rows in _blocks(n):
-        eta_values(grid, model.sigma, h[rows], zeta[rows], out=zeta[rows])
-    return zeta, h
+
+    def compose(rows, w, x):
+        eta_values(grid, model.sigma, h[rows], zeta_values(grid, w, x, out=w), out=w)
+
+    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose), h
 
 
 def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0):
-    """Batch of kappa paths; returns (values, snapped tau indices, payoffs, raw taus)."""
+    """Batch of kappa paths; returns (values, snapped tau indices, payoffs, raw taus).
+
+    The tau indices are those of the grid points at or below the default
+    times, as kappa_values takes them: a default time between grid points is
+    snapped down, so its path defaults up to one step early.
+    """
     if model.default_law is None:
         raise ValueError("model has no default time law")
     tau = model.default_law.sample(rng_for(seed, (batch, 3)), n)
     h = model.payoff.sample(rng_for(seed, (batch, 2)), n)
-    w, x = _brownian_and_levy(grid, model.levy, seed, n, batch)
     tau_idx = grid.snap_below(tau)
-    for rows in _blocks(n):
-        kappa_values(grid, model.sigma, model.levy_drift_scale, tau_idx[rows], h[rows], w[rows], x[rows],
-                     out=w[rows])
-    return w, tau_idx, h, tau
+
+    def compose(rows, w, x):
+        kappa_values(grid, model.sigma, model.levy_drift_scale, tau_idx[rows], h[rows], w, x, out=w)
+
+    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose), tau_idx, h, tau
 
 
 # -- one table of process samplers --------------------------------------------
 
-def _brownian_pair(grid: TimeGrid, seed: int, n: int, batch: int):
-    return _draw_streams(grid, n, lambda out: brownian_batch(grid, seed, n, (batch, 0), out),
-                         lambda out: brownian_batch(grid, seed, n, (batch, 1), out))
+def _brownian_pair(grid: TimeGrid, seed: int, n: int, batch: int, pinned) -> np.ndarray:
+    """pinned(grid, w, b, out) of two Brownian batches, composed in place into w."""
+    return _draw_streams(grid, n, _brownian_draw(grid, seed, (batch, 0)), _brownian_draw(grid, seed, (batch, 1)),
+                         lambda rows, w, b: pinned(grid, w, b, out=w))
 
 
 # Batch sampler per process name: (grid, source, seed, n, batch) -> path values,
@@ -250,10 +316,8 @@ PROCESS_SAMPLERS = {
     "brownian": lambda grid, source, seed, n, batch: brownian_batch(grid, seed, n, key=(batch, 0)),
     "bridge": lambda grid, source, seed, n, batch: bridge_values(
         grid, brownian_batch(grid, seed, n, key=(batch, 0))),
-    "bar-beta": lambda grid, source, seed, n, batch: bar_beta_values(
-        grid, *_brownian_pair(grid, seed, n, batch)),
-    "tilde-beta": lambda grid, source, seed, n, batch: tilde_beta_values(
-        grid, *_brownian_pair(grid, seed, n, batch)),
+    "bar-beta": lambda grid, source, seed, n, batch: _brownian_pair(grid, seed, n, batch, bar_beta_values),
+    "tilde-beta": lambda grid, source, seed, n, batch: _brownian_pair(grid, seed, n, batch, tilde_beta_values),
     "zeta": lambda grid, law, seed, n, batch: sample_zeta_batch(grid, law, seed, n, batch),
     "levy-reversed": lambda grid, law, seed, n, batch: reverse_values(
         grid, levy_batch(law, grid, seed, n, key=(batch, 1))),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levybridge import mc
+from levybridge import mc, sampling
 from levybridge.gaussian import cov_tilde
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
@@ -79,6 +79,19 @@ def test_oracles_identical_across_thread_counts(monkeypatch):
         runs.append({name: oracle() for name, oracle in oracles.items()})
     assert all(run == runs[0] for run in runs[1:])
     assert runs[0]["option"].n_paths == n
+
+
+@pytest.mark.parametrize("threads, n_batches, own", [
+    ("2", 1, False), ("2", 2, True), ("2", 3, True), ("4", 2, False), ("4", 4, True), ("1", 3, False),
+])
+def test_batches_draw_their_own_streams_when_every_worker_has_one(monkeypatch, threads, n_batches, own):
+    # with a batch on every worker the CPUs are busy, and a batch's Levy stream
+    # is drawn on its own thread instead of on the sampler's stream pool
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    monkeypatch.setattr(mc, "BATCH_SIZE", 10)
+    seen = mc._map_batches(lambda batch, size: getattr(sampling._own_streams, "on", False), 10 * n_batches)
+    assert seen == [own] * n_batches
+    assert not getattr(sampling._own_streams, "on", False)
 
 
 def test_bridge_threads_checked_before_any_batch(monkeypatch):

@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -261,7 +263,8 @@ def test_kappa_values_equal_reference_formula_and_leave_inputs_alone(law):
     w, x = sampling.brownian_batch(g, 100, n), sampling.levy_batch(law, g, 101, n)
     rng = np.random.default_rng(102)
     tau_idx = rng.integers(0, g.n_points, n)
-    tau_idx[:3] = [0, g.n_steps // 2, g.n_steps]  # at 0, mid-grid and at T
+    m = g.n_points
+    tau_idx[:5] = [0, 1, g.n_steps // 2, m - 2, m - 1]  # at 0, one step in, mid-grid, one step early and at T
     h = rng.choice([0.0, 0.4, 1.0], n)
     w0, x0, tau0, h0 = w.copy(), x.copy(), tau_idx.copy(), h.copy()
     ref = _kappa_reference(g, 0.8, 0.6, tau_idx, h, w, x)
@@ -271,6 +274,34 @@ def test_kappa_values_equal_reference_formula_and_leave_inputs_alone(law):
         assert np.array_equal(arr, orig)
     np.testing.assert_array_equal(got[0], 0.8 * g.points * h[0])  # defaulted at t = 0
     assert np.array_equal(sampling.kappa_values(g, 0.8, 0.6, tau_idx, h, w, x, out=w), ref)
+
+
+def _same_bits(a, b):
+    """Equal down to the bit pattern: np.array_equal would take -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("default_law", [
+    DefaultTimeLaw.exponential_conditioned(1.0, 1.0), DefaultTimeLaw.uniform(0.0, 1.0, horizon=1.0),
+], ids=["exponential", "uniform"])
+def test_kappa_values_with_many_default_indices_equal_reference(default_law):
+    # a continuous default law puts the rows of one block on many distinct
+    # default indices; kappa_values composes them one index at a time
+    g = TimeGrid.uniform(1.0, 256)
+    n = 2 * sampling._BLOCK_ROWS + 37
+    model = MarketModel(1.0, 0.9, 0.6, RateCurve.flat(0.0), PayoffDistribution([-1.0, 0.0, 2.0], [0.3, 0.3, 0.4]),
+                        GAMMA, default_law)
+    w, x = sampling.brownian_batch(g, 104, n, key=(1, 0)), sampling.levy_batch(GAMMA, g, 104, n, key=(1, 1))
+    vals, tau_idx, h, _ = sample_kappa_batch(model, g, 104, n, 1)
+    assert np.unique(tau_idx[:sampling._BLOCK_ROWS]).size > 100
+    ref = _kappa_reference(g, model.sigma, model.levy_drift_scale, tau_idx, h, w, x)
+    assert np.array_equal(vals, ref) and _same_bits(vals, ref)
+    w0, x0, tau0, h0 = w.copy(), x.copy(), tau_idx.copy(), h.copy()
+    got = sampling.kappa_values(g, model.sigma, model.levy_drift_scale, tau_idx, h, w, x)
+    assert _same_bits(got, ref)
+    for arr, orig in ((w, w0), (x, x0), (tau_idx, tau0), (h, h0)):
+        assert _same_bits(arr, orig)
 
 
 def test_samplers_compose_blocks_like_the_reference_formulas():
@@ -337,16 +368,51 @@ def test_block_draws_equal_one_draw(law):
 
 
 def _batch_samplers():
+    # the five two-stream samplers; the last of the three blocks is partial
     g = TimeGrid.uniform(1.0, 24)
+    n = 2 * sampling._BLOCK_ROWS + 37
     atoms = DefaultTimeLaw.atoms([0.01, 0.5, 1.0], [0.2, 0.5, 0.3], horizon=1.0)
     return {
-        "zeta": lambda b: (sampling.sample_zeta_batch(g, POIS, 130, 1500, b),),
-        "eta": lambda b: sampling.sample_eta_batch(_model(), g, 131, 1500, b),
-        "kappa": lambda b: sample_kappa_batch(_model(mu=0.5, default_law=atoms), g, 132, 1500, b),
+        "zeta": lambda b: (sampling.sample_zeta_batch(g, POIS, 130, n, b),),
+        "eta": lambda b: sampling.sample_eta_batch(_model(), g, 131, n, b),
+        "kappa": lambda b: sample_kappa_batch(_model(mu=0.5, default_law=atoms), g, 132, n, b),
+        "bar-beta": lambda b: (sampling.PROCESS_SAMPLERS["bar-beta"](g, None, 133, n, b),),
+        "tilde-beta": lambda b: (sampling.PROCESS_SAMPLERS["tilde-beta"](g, None, 134, n, b),),
     }
 
 
-@pytest.mark.parametrize("name", ["zeta", "eta", "kappa"])
+SAMPLERS = ["zeta", "eta", "kappa", "bar-beta", "tilde-beta"]
+
+
+class _StartedPool:
+    """The stream pool, but submit returns only once the task has started.
+
+    The calling thread then cannot take the second stream back, so a sampler
+    composes each block as the pool thread reports it.
+    """
+
+    def __init__(self, pool):
+        self.pool = pool
+
+    def submit(self, fn, *args):
+        started = threading.Event()
+
+        def run():
+            started.set()
+            return fn(*args)
+
+        future = self.pool.submit(run)
+        assert started.wait(10)
+        return future
+
+
+def _assert_same_runs(run, ref):
+    for got, want in zip(run, ref):
+        for a, r in zip(got, want):
+            assert _same_bits(a, r)
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
 def test_batch_samplers_identical_across_thread_counts(monkeypatch, name):
     sample = _batch_samplers()[name]
     runs = []
@@ -357,10 +423,78 @@ def test_batch_samplers_identical_across_thread_counts(monkeypatch, name):
             monkeypatch.setenv("BRIDGE_THREADS", threads)
         runs.append([sample(b) for b in (0, 1)])
     for run in runs[1:]:
-        for got, ref in zip(run, runs[0]):
-            for a, r in zip(got, ref):
-                assert np.array_equal(a, r)
+        _assert_same_runs(run, runs[0])
     assert not np.array_equal(runs[0][0][0], runs[0][1][0])  # the two batches differ
+    with sampling._streams_on_this_thread():  # as inside an mc map with every worker busy
+        _assert_same_runs([sample(b) for b in (0, 1)], runs[0])
+    monkeypatch.setattr(sampling, "_STREAMS", _StartedPool(sampling._STREAMS))
+    _assert_same_runs([sample(b) for b in (0, 1)], runs[0])
+
+
+def _in_thread(fn, timeout=30):
+    """fn() on a fresh thread; its result, or its error, within timeout seconds."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        return pool.submit(fn).result(timeout=timeout)
+    finally:
+        pool.shutdown(wait=False)
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_calling_thread_draws_the_second_stream_when_the_pool_is_busy(monkeypatch, name):
+    sample = _batch_samplers()[name]
+    monkeypatch.setenv("BRIDGE_THREADS", "1")
+    ref = sample(1)
+    monkeypatch.setenv("BRIDGE_THREADS", "2")
+    busy = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(sampling, "_STREAMS", busy)
+    release = threading.Event()
+    started = threading.Event()
+    blocker = busy.submit(lambda: (started.set(), release.wait(60)))
+    try:
+        assert started.wait(10)
+        got = _in_thread(lambda: sample(1))
+        assert not blocker.done()  # the batch never waited on the pool
+    finally:
+        release.set()
+        busy.shutdown(wait=True)
+    for a, r in zip(got, ref):
+        assert _same_bits(a, r)
+
+
+class _LevyDrawFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("threads, pipelined", [("1", False), ("2", False), ("2", True), ("4", True)])
+def test_levy_draw_error_after_first_block_is_raised(monkeypatch, threads, pipelined):
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    if pipelined:
+        monkeypatch.setattr(sampling, "_STREAMS", _StartedPool(sampling._STREAMS))
+    g = TimeGrid.uniform(1.0, 16)
+    n = 2 * sampling._BLOCK_ROWS + 37
+    model = _model(mu=0.5, default_law=DefaultTimeLaw.atoms([0.5, 1.0], [0.5, 0.5], horizon=1.0))
+    ref = sample_kappa_batch(model, g, 150, n, 0)
+    levy_draw = sampling._levy_draw
+
+    def failing_levy_draw(*args):
+        draw, calls = levy_draw(*args), []
+
+        def second_block_fails(rows):
+            calls.append(rows)
+            if len(calls) == 2:
+                raise _LevyDrawFailed("levy draw failed")
+            return draw(rows)
+
+        return second_block_fails
+
+    monkeypatch.setattr(sampling, "_levy_draw", failing_levy_draw)
+    with pytest.raises(_LevyDrawFailed):
+        _in_thread(lambda: sample_kappa_batch(model, g, 150, n, 0))
+    monkeypatch.setattr(sampling, "_levy_draw", levy_draw)
+    assert sampling._STREAMS.submit(lambda: 7).result(timeout=10) == 7  # the pool still works
+    for a, r in zip(_in_thread(lambda: sample_kappa_batch(model, g, 150, n, 0)), ref):
+        assert _same_bits(a, r)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])

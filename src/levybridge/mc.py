@@ -7,9 +7,10 @@ the threads only reorder work, never results.  Batches run on
 (BRIDGE_THREADS when set, else the usable CPUs; 1 runs them serially).  When
 every one of those threads has a batch, each batch draws both of its streams
 on its own thread, serially; otherwise (one batch, or fewer batches than
-threads) the sampler draws a batch's Levy stream on its stream pool and
-composes the paths behind it.  Oracles read the formula under test only to
-obtain the target.
+threads) the sampler draws a batch's Levy stream on its stream pool, in
+lockstep with W.  The posterior and pricing oracles ask the sampler for the
+column at t only, so a batch holds O(batch size) values.  Oracles read the
+formula under test only to obtain the target.
 """
 
 from __future__ import annotations
@@ -213,15 +214,15 @@ def _sample_observations(model: MarketModel, t: float, n_paths: int, seed: int):
     when its value at t sits on its payoff ray.
     """
     grid = TimeGrid.uniform(model.maturity, _ORACLE_STEPS)
-    idx = grid.index_of(t)
+    columns = [grid.index_of(t)]
 
     def one(batch, size):
-        # copy the time-t column, so the batch is freed before the next one
+        # only the time-t column is kept, so a batch holds O(size) values
         if model.default_law is None:
-            vals, h = sample_eta_batch(model, grid, seed, size, batch)
-            return vals[:, idx].copy(), h, np.zeros(size, dtype=bool)
-        vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch)
-        x = vals[:, idx].copy()
+            vals, h = sample_eta_batch(model, grid, seed, size, batch, columns)
+            return vals[:, 0], h, np.zeros(size, dtype=bool)
+        vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch, columns)
+        x = vals[:, 0]
         return x, h, default_pricing.on_payoff_ray(model, t, x, h)
 
     return tuple(np.concatenate(part) for part in zip(*_map_batches(one, n_paths)))
@@ -267,6 +268,8 @@ def _observed_bond_means(model: MarketModel, t: float, n_paths: int, seed: int) 
     """
     xs, h, defaulted = _sample_observations(model, t, n_paths, seed)
     alive = xs[~defaulted]
+    if alive.size == 0:  # every payoff is revealed: no spline to build
+        return h
     lo, hi = float(alive.min()), float(alive.max())
     pad = 1e-6 * max(1.0, hi - lo)
     nodes = np.linspace(lo - pad, hi + pad, 601)

@@ -6,15 +6,17 @@ step size.  Every sampler is a pure function of (grid, law, seed); batches
 drawn from distinct streams of one root seed are independent.
 
 A batch's two large streams (W under key (batch, 0), the Levy or second
-Brownian path under key (batch, 1)) are drawn at the same time, the second on
-a thread of one module-level pool.  That thread reports each block of rows as
-it finishes it, and the calling thread, once it has drawn W, composes each
-block as soon as both streams hold it.  If the pool has not started the
-second stream by then, the calling thread draws it itself; inside
-``_streams_on_this_thread`` (every worker of an mc batch map busy) it always
-does.  Philox is counter-based, so a stream's values depend only on its
-(seed, key), never on when or where it is drawn.  The library's thread count
-is ``worker_count()``; at 1 everything is serial.
+Brownian path under key (batch, 1)) are drawn in lockstep, _BLOCK_ROWS rows
+at a time, the second on a thread of one module-level pool.  W goes into the
+output rows, the second stream into a small ring of reused block buffers,
+and the calling thread composes each block as soon as both streams hold it,
+so no full-size second-stream array exists; a caller that keeps only some
+grid columns gets n rows of those.  If the pool has not started the second
+stream once the first block of W is drawn, the calling thread draws it
+itself; inside ``_streams_on_this_thread`` (every worker of an mc batch map
+busy) it always does.  Philox is counter-based, so a stream's values depend
+only on its (seed, key), never on when or where it is drawn.  The library's
+thread count is ``worker_count()``; at 1 everything is serial.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ def rng_for(seed: int, key: int | tuple[int, ...] | None = None) -> np.random.Ge
 # -- batch samplers (n paths as rows) ----------------------------------------
 
 _BLOCK_ROWS = 1024  # rows per drawing and composition step: block-sized temporaries
+_RING = 2  # second-stream blocks in flight: one being composed while the next is drawn
 
 
 def _blocks(n: int) -> list[slice]:
@@ -104,39 +107,56 @@ def _blocks(n: int) -> list[slice]:
     return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
 
 
-def _paths(grid: TimeGrid, n: int, draw, out: np.ndarray | None, done=None) -> np.ndarray:
-    """Paths from 0 with the increments draw(rows) returns, _BLOCK_ROWS rows at a time.
+def _fill(block: np.ndarray, draw, inc: np.ndarray) -> np.ndarray:
+    """Paths from 0 of the next len(block) rows of draw's increments, in block.
 
-    A generator fills its output in C order, so drawing the rows block by block
-    gives the same values as drawing all of them at once.  done(rows), when
-    given, is called with each block's slice once its paths are in out.
+    draw(inc) fills a C-contiguous (rows, steps) array with the increments of
+    its next rows; inc is the scratch it fills.  A generator fills its output
+    in C order, so drawing the rows block by block gives the same values as
+    drawing all of them at once.
     """
+    inc = inc[:len(block)]
+    draw(inc)
+    block[:, 0] = 0.0
+    np.cumsum(inc, axis=1, out=block[:, 1:])
+    return block
+
+
+def _paths(grid: TimeGrid, n: int, draw, out: np.ndarray | None) -> np.ndarray:
+    """Paths from 0 with draw's increments, _BLOCK_ROWS rows at a time."""
     if out is None:
         out = np.empty((n, grid.n_points))
+    inc = np.empty((min(n, _BLOCK_ROWS), grid.n_steps))
     for rows in _blocks(n):
-        out[rows, 0] = 0.0
-        np.cumsum(draw(rows.stop - rows.start), axis=1, out=out[rows, 1:])
-        if done is not None:
-            done(rows)
+        _fill(out[rows], draw, inc)
     return out
 
 
 def _brownian_draw(grid: TimeGrid, seed: int, key):
     rng = rng_for(seed, key)
     sd = np.sqrt(grid.step_sizes())
-    # numpy's normal(0.0, sd) is 0.0 + sd * standard_normal(), bit for bit
-    return lambda rows: 0.0 + sd * rng.standard_normal((rows, sd.size))
+
+    def draw(inc):
+        # numpy's normal(0.0, sd) is 0.0 + sd * standard_normal(), bit for bit
+        rng.standard_normal(out=inc)
+        np.multiply(sd, inc, out=inc)
+        np.add(0.0, inc, out=inc)
+
+    return draw
 
 
 def _levy_draw(law: LevyLaw, grid: TimeGrid, seed: int, key):
     rng = rng_for(seed, key)
     dt = grid.step_sizes()
+    if np.all(dt == dt[0]):
+        # one scalar shape or mean draws the same values as the per-step array, faster
+        dt = dt[0]
     if law.kind == GAMMA:  # numpy's gamma(dt, 1.0), bit for bit
-        return lambda rows: rng.standard_gamma(dt, size=(rows, dt.size))
+        return lambda inc: rng.standard_gamma(dt, out=inc)
     if law.kind == POISSON:
-        return lambda rows: rng.poisson(lam=law.rate * dt, size=(rows, dt.size)).astype(float)
+        return lambda inc: np.copyto(inc, rng.poisson(lam=law.rate * dt, size=inc.shape))
     if law.kind == DEGENERATE:
-        return lambda rows: np.zeros((rows, dt.size))
+        return lambda inc: inc.fill(0.0)
     raise ValueError(law.kind)  # pragma: no cover
 
 
@@ -149,43 +169,72 @@ def levy_batch(law: LevyLaw, grid: TimeGrid, seed: int, n: int, key=None,
     return _paths(grid, n, _levy_draw(law, grid, seed, key), out)
 
 
-def _draw_streams(grid: TimeGrid, n: int, first, second, compose) -> np.ndarray:
-    """Paths of two independent streams, composed block by block into the first's.
+def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) -> np.ndarray:
+    """Paths of two independent streams, composed block by block; the columns asked for.
 
-    first and second are increment draws as for _paths.  compose(rows, a, b)
-    composes one block in place into a, the first stream's rows, from b, the
-    second's.  The second stream is drawn on the stream pool, which reports
-    each block when it is done; the calling thread draws the first stream and
-    then composes each block as soon as the second holds it.  If the pool has
-    not started the second stream by then, or every stream is to be drawn on
-    this thread, the calling thread draws it and composes each block after
-    drawing it.  Both arrays are allocated on the calling thread, so the pool
-    thread's malloc arena keeps no batch-sized block.
+    first and second are increment draws as for _fill.  Both streams are drawn
+    in lockstep, _BLOCK_ROWS rows at a time: the first into the output rows
+    (or, when only some columns are kept, into one reused scratch block), the
+    second into one of _RING reused block buffers.  compose(rows, a, b)
+    composes a block in place into a, the first stream's rows, from b, the
+    second's, as soon as both streams hold it; then the block's columns are
+    kept.  The second stream is drawn on the stream pool, which takes a free
+    buffer for each block and hands it over when it is filled.  If the pool
+    has not started the second stream once the first block of the first is
+    drawn, or every stream is to be drawn on this thread, the calling thread
+    draws each block of the second stream itself.  The buffers are allocated
+    on the calling thread, so the pool thread's malloc arena keeps none of
+    them, and none but the output grows with n.
     """
-    a, b = np.empty((n, grid.n_points)), np.empty((n, grid.n_points))
-
-    def compose_block(rows):
-        compose(rows, a[rows], b[rows])
-
+    m = grid.n_points
+    k = min(n, _BLOCK_ROWS)
+    if columns is None:
+        out = np.empty((n, m))
+    else:
+        out, scratch = np.empty((n, len(columns))), np.empty((k, m))
+    inc = np.empty((k, m - 1))
+    own = np.empty((k, m))  # the second stream's block when this thread draws it
     pending = None
     if worker_count() > 1 and not getattr(_own_streams, "on", False):
-        ready = queue.SimpleQueue()
+        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for buffer in [own] + [np.empty((k, m)) for _ in range(_RING - 1)]:
+            free.put(buffer)
+        pool_inc = np.empty((k, m - 1))
 
         def draw_second():
             try:
-                _paths(grid, n, second, b, ready.put)
+                for rows in _blocks(n):
+                    b = free.get()
+                    if b is None:  # the calling thread stopped early
+                        return
+                    ready.put(_fill(b[:rows.stop - rows.start], second, pool_inc))
             finally:
                 ready.put(None)  # after the last block, or after an error
 
         pending = _STREAMS.submit(draw_second)
-    _paths(grid, n, first, a)
-    if pending is None or pending.cancel():
-        _paths(grid, n, second, b, compose_block)
-        return a
-    for rows in iter(ready.get, None):
-        compose_block(rows)
-    pending.result()  # raises the second stream's error, if it stopped early
-    return a
+    try:
+        for rows in _blocks(n):
+            size = rows.stop - rows.start
+            a = _fill(out[rows] if columns is None else scratch[:size], first, inc)
+            if rows.start == 0 and pending is not None and pending.cancel():
+                pending = None
+            if pending is None:
+                b = _fill(own[:size], second, inc)
+            else:
+                b = ready.get()
+                if b is None:
+                    pending.result()  # raises the second stream's error
+            compose(rows, a, b)
+            if columns is not None:
+                out[rows] = a[:, columns]
+            if pending is not None:
+                free.put(b.base)  # the whole buffer back to the ring
+    finally:
+        if pending is not None:
+            free.put(None)  # ends the pool's draw if this thread stopped early
+    if pending is not None:
+        pending.result()
+    return out
 
 
 def reverse_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
@@ -260,34 +309,40 @@ def kappa_values(grid: TimeGrid, sigma: float, mu: float, tau_idx, h,
 # -- model-driven batch sampling ----------------------------------------------
 
 # The two-stream samplers compose their paths block by block in place into the
-# fresh W as the Levy (or second Brownian) stream delivers its blocks, so a
+# W block as the Levy (or second Brownian) stream delivers its blocks, so a
 # composition's temporaries are block-sized whatever the batch size.
 
-def _brownian_and_levy(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int, compose) -> np.ndarray:
+def _brownian_and_levy(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int, compose,
+                       columns=None) -> np.ndarray:
     return _draw_streams(grid, n, _brownian_draw(grid, seed, (batch, 0)), _levy_draw(law, grid, seed, (batch, 1)),
-                         compose)
+                         compose, columns)
 
 
 def sample_zeta_batch(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int = 0) -> np.ndarray:
     return _brownian_and_levy(grid, law, seed, n, batch, lambda rows, w, x: zeta_values(grid, w, x, out=w))
 
 
-def sample_eta_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0):
-    """Batch of eta paths; returns (values, payoff draws)."""
+def sample_eta_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0, columns=None):
+    """Batch of eta paths; returns (values, payoff draws).
+
+    columns, the grid indices whose values to return, defaults to all of them;
+    the values are those of the full paths in those columns, bit for bit.
+    """
     h = model.payoff.sample(rng_for(seed, (batch, 2)), n)
 
     def compose(rows, w, x):
         eta_values(grid, model.sigma, h[rows], zeta_values(grid, w, x, out=w), out=w)
 
-    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose), h
+    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose, columns), h
 
 
-def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0):
+def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0, columns=None):
     """Batch of kappa paths; returns (values, snapped tau indices, payoffs, raw taus).
 
     The tau indices are those of the grid points at or below the default
     times, as kappa_values takes them: a default time between grid points is
-    snapped down, so its path defaults up to one step early.
+    snapped down, so its path defaults up to one step early.  columns is as
+    for sample_eta_batch.
     """
     if model.default_law is None:
         raise ValueError("model has no default time law")
@@ -298,7 +353,7 @@ def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, ba
     def compose(rows, w, x):
         kappa_values(grid, model.sigma, model.levy_drift_scale, tau_idx[rows], h[rows], w, x, out=w)
 
-    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose), tau_idx, h, tau
+    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose, columns), tau_idx, h, tau
 
 
 # -- one table of process samplers --------------------------------------------

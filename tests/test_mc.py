@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,72 @@ def test_failing_batch_raises_without_hanging(monkeypatch, threads):
     with pytest.raises(ArithmeticError):
         mc._map_batches(fn, 45)
     assert mc._map_batches(lambda batch, size: (batch, size), 45) == [(0, 10), (1, 10), (2, 10), (3, 10), (4, 5)]
+
+
+def _columns_of_full_paths(sample):
+    """sample, but drawing full paths and keeping the columns afterwards."""
+
+    def sample_full(model, grid, seed, n, batch, columns):
+        out = sample(model, grid, seed, n, batch)
+        return (out[0][:, columns],) + out[1:]
+
+    return sample_full
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_oracle_reports_equal_those_built_from_full_paths(monkeypatch, threads):
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    monkeypatch.setattr(mc, "BATCH_SIZE", 9_000)
+    n = 20_000
+    poisson = MarketModel(1.0, 1.0, 1.0, RateCurve.flat(0.02), BINARY, LevyLaw.poisson(1.0))
+    kappa_exp = MarketModel(1.0, 1.0, 0.5, RateCurve.flat(0.0), BINARY, GAMMA,
+                            default_law=DefaultTimeLaw.exponential_conditioned(1.0, 1.0))
+    oracles = {
+        "tower-eta": lambda: tower_check(_eta_model(), 0.5, n, 31),
+        "tower-kappa": lambda: tower_check(_kappa_model(), 0.75, n, 32),
+        "binning-eta": lambda: posterior_binning(_eta_model(), 0.5, 0.4, 0.05, n, 34),
+        "binning-kappa": lambda: posterior_binning(_kappa_model(), 0.5, 0.37, 0.05, n, 35),
+        "option-eta": lambda: option_mc(poisson, 0.5, 0.5, n, 36, 0.3),
+        "option-kappa": lambda: option_mc(_kappa_model(), 0.25, 0.3, n, 37, 0.2),
+    }
+    # an exponential default law's posterior splines are slow: compare the observations they read
+    observations = lambda: mc._sample_observations(kappa_exp, 0.5, n, 33)
+    got, seen = {name: oracle() for name, oracle in oracles.items()}, observations()
+    monkeypatch.setattr(mc, "sample_eta_batch", _columns_of_full_paths(sampling.sample_eta_batch))
+    monkeypatch.setattr(mc, "sample_kappa_batch", _columns_of_full_paths(sampling.sample_kappa_batch))
+    assert got == {name: oracle() for name, oracle in oracles.items()}
+    for a, r in zip(seen, observations()):
+        assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+
+
+def _observation_peak(model, steps, n, monkeypatch):
+    monkeypatch.setattr(mc, "_ORACLE_STEPS", steps)
+    tracemalloc.start()
+    try:
+        mc._sample_observations(model, 0.5, n, 41)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("model", [_eta_model(), _kappa_model()], ids=["eta", "kappa"])
+def test_observation_memory_does_not_grow_with_the_steps(monkeypatch, threads, model):
+    # a batch keeps only the column at t: more steps widen the few block
+    # buffers, not the n rows of the batch
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    n = 8 * sampling._BLOCK_ROWS
+    growth = _observation_peak(model, 200, n, monkeypatch) - _observation_peak(model, 40, n, monkeypatch)
+    assert growth <= 10 * sampling._BLOCK_ROWS * (200 - 40) * 8
+
+
+def test_oracles_when_no_sampled_path_survives_to_t():
+    # every payoff is revealed by t, so each mean is the revealed payoff
+    model = MarketModel(1.0, 1.0, 0.5, RateCurve.flat(0.03), BINARY, GAMMA,
+                        default_law=DefaultTimeLaw.atoms([0.25], [1.0], horizon=1.0))
+    _, h, defaulted = mc._sample_observations(model, 0.5, 2000, 43)
+    assert defaulted.all()
+    tower = tower_check(model, 0.5, 2000, 43)
+    assert tower.estimate == h.mean() and tower.passed
+    payoff = model.discount(0.0, 0.5) * np.maximum(model.discount(0.5) * h - 0.4, 0.0)
+    assert option_mc(model, 0.5, 0.4, 2000, 43, 0.3).estimate == payoff.mean()

@@ -1,6 +1,8 @@
 import multiprocessing
 import os
+import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -367,6 +369,24 @@ def test_block_draws_equal_one_draw(law):
     assert np.array_equal(w[:, 1:], np.cumsum(incs, axis=1)) and np.all(w[:, 0] == 0.0)
 
 
+def test_uniform_steps_draw_levy_increments_with_one_scalar_parameter():
+    # when every step has the same size the sampler passes one scalar gamma
+    # shape or Poisson mean; numpy draws the same values as from the per-step
+    # array, and a numpy that stops doing so must fail here
+    g = TimeGrid.uniform(1.0, 256)
+    dt = g.step_sizes()
+    assert np.all(dt == dt[0])
+    n = sampling._BLOCK_ROWS + 5
+    for law in (GAMMA, POIS):
+        rng = sampling.rng_for(122, (4, 1))
+        if law.kind == "gamma":
+            incs = rng.gamma(shape=dt, scale=1.0, size=(n, dt.size))
+        else:
+            incs = rng.poisson(lam=law.rate * dt, size=(n, dt.size)).astype(float)
+        got = sampling.levy_batch(law, g, 122, n, key=(4, 1))
+        assert _same_bits(got[:, 1:], np.cumsum(incs, axis=1)) and np.all(got[:, 0] == 0.0), law.kind
+
+
 def _batch_samplers():
     # the five two-stream samplers; the last of the three blocks is partial
     g = TimeGrid.uniform(1.0, 24)
@@ -495,6 +515,105 @@ def test_levy_draw_error_after_first_block_is_raised(monkeypatch, threads, pipel
     assert sampling._STREAMS.submit(lambda: 7).result(timeout=10) == 7  # the pool still works
     for a, r in zip(_in_thread(lambda: sample_kappa_batch(model, g, 150, n, 0)), ref):
         assert _same_bits(a, r)
+
+
+@pytest.mark.parametrize("threads, pipelined", [("1", False), ("2", False), ("2", True)])
+def test_composition_error_ends_the_second_streams_draw(monkeypatch, threads, pipelined):
+    # the calling thread stops on its second block; the pool thread must not
+    # wait for a free block buffer forever
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    if pipelined:
+        monkeypatch.setattr(sampling, "_STREAMS", _StartedPool(sampling._STREAMS))
+    g = TimeGrid.uniform(1.0, 16)
+    model = _model(mu=0.5, default_law=DefaultTimeLaw.atoms([0.5, 1.0], [0.5, 0.5], horizon=1.0))
+    kappa_values, calls = sampling.kappa_values, []
+
+    def second_block_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise _LevyDrawFailed("composition failed")
+        return kappa_values(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "kappa_values", second_block_fails)
+    with pytest.raises(_LevyDrawFailed):
+        _in_thread(lambda: sample_kappa_batch(model, g, 151, 6 * sampling._BLOCK_ROWS, 0))
+    pool = sampling._STREAMS.pool if pipelined else sampling._STREAMS
+    assert pool.submit(lambda: 7).result(timeout=10) == 7  # the pool thread is free again
+
+
+def test_concurrent_samplers_share_the_stream_pool_without_mixing_blocks(monkeypatch):
+    # more sampling threads than CPUs, switching often: each batch must still
+    # compose its own blocks, whichever thread draws its second stream
+    monkeypatch.setenv("BRIDGE_THREADS", "4")
+    g = TimeGrid.uniform(1.0, 24)
+    n = 3 * sampling._BLOCK_ROWS + 37
+    model = _model(levy=POIS)
+    refs = [sampling.sample_eta_batch(model, g, 180, n, b)[0] for b in range(6)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pool = ThreadPoolExecutor(max_workers=6)
+        jobs = [pool.submit(lambda b=b: [sampling.sample_eta_batch(model, g, 180, n, b)[0] for _ in range(3)])
+                for b in range(6)]
+        runs = [job.result(timeout=60) for job in jobs]
+        pool.shutdown(wait=True)
+    finally:
+        sys.setswitchinterval(switch)
+    for ref, run in zip(refs, runs):
+        for got in run:
+            assert _same_bits(got, ref)
+
+
+def _sample_columns(kind, law, default_law):
+    g = TimeGrid.uniform(1.0, 40)
+    n = 3 * sampling._BLOCK_ROWS + 37
+    if kind == "eta":
+        model = _model(levy=law)
+        return lambda columns: sampling.sample_eta_batch(model, g, 160, n, 1, columns)
+    model = _model(levy=law, mu=0.5, default_law=default_law)
+    return lambda columns: sample_kappa_batch(model, g, 161, n, 1, columns)
+
+
+COLUMN_CASES = [("eta", GAMMA, None), ("eta", POIS, None),
+                ("kappa", GAMMA, DefaultTimeLaw.atoms([0.25, 0.5, 1.0], [0.3, 0.3, 0.4], horizon=1.0)),
+                ("kappa", POIS, DefaultTimeLaw.exponential_conditioned(1.0, 1.0))]
+
+
+@pytest.mark.parametrize("kind, law, default_law", COLUMN_CASES,
+                         ids=["eta-gamma", "eta-poisson", "kappa-gamma-atoms", "kappa-poisson-exponential"])
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_returned_columns_equal_the_full_paths_columns(monkeypatch, threads, kind, law, default_law):
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    sample = _sample_columns(kind, law, default_law)
+    full = sample(None)
+    for columns in ([20], [0, 13, 40], [40, 7, 7]):
+        got = sample(columns)
+        assert got[0].shape == (full[0].shape[0], len(columns))
+        assert _same_bits(got[0], full[0][:, columns])
+        for a, r in zip(got[1:], full[1:]):
+            assert _same_bits(a, r)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_eta_batch_memory_is_the_output_and_a_few_block_buffers(monkeypatch, threads):
+    # one thread: the first stream's increments, the second stream's block and a
+    # composition temporary; with the stream pool also its increments and a
+    # second block buffer.  Drawing the second stream's full paths first would
+    # add a whole output's worth.
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    g = TimeGrid.uniform(1.0, 256)
+    n = 4 * sampling._BLOCK_ROWS + 37
+    block = sampling._BLOCK_ROWS * g.n_points * 8
+    model = _model()
+    sampling.sample_eta_batch(model, g, 170, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vals, h = sampling.sample_eta_batch(model, g, 170, n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - vals.nbytes - h.nbytes <= (4 if threads == "1" else 6) * block
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])

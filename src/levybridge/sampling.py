@@ -11,10 +11,13 @@ at a time, the second on a thread of one module-level pool.  W goes into the
 output rows, the second stream into a small ring of reused block buffers,
 and the calling thread composes each block as soon as both streams hold it,
 so no full-size second-stream array exists; a caller that keeps only some
-grid columns gets n rows of those.  If the pool has not started the second
-stream once the first block of W is drawn, the calling thread draws it
-itself; inside ``_streams_on_this_thread`` (every worker of an mc batch map
-busy) it always does.  Philox is counter-based, so a stream's values depend
+grid columns gets n rows of those.  Until the pool thread has started, the
+calling thread draws the second stream's blocks it needs itself, and the
+pool thread takes over from the next block, so a late or busy pool slows a
+batch down by the blocks it missed, not by a switch to serial drawing;
+inside ``_streams_on_this_thread`` (every worker of an mc batch map busy)
+the calling thread draws them all.  Each thread keeps its block buffers
+for its next batch.  Philox is counter-based, so a stream's values depend
 only on its (seed, key), never on when or where it is drawn.  The library's
 thread count is ``worker_count()``; at 1 everything is serial.
 """
@@ -23,8 +26,8 @@ from __future__ import annotations
 
 import contextlib
 import os
-import queue
 import threading
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -100,6 +103,23 @@ def rng_for(seed: int, key: int | tuple[int, ...] | None = None) -> np.random.Ge
 
 _BLOCK_ROWS = 1024  # rows per drawing and composition step: block-sized temporaries
 _RING = 2  # second-stream blocks in flight: one being composed while the next is drawn
+_kept = threading.local()  # each thread's block buffers, reused by its next batch
+
+
+def _block_buffers(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Arrays of the given block shapes, which this thread reuses from batch to batch.
+
+    Buffers allocated afresh for each batch go back to the system when it
+    ends and are faulted in again by the next, whose cost varies with the
+    machine's memory traffic; kept, a batch's block buffers cost nothing after
+    the thread's first batch.  The buffers grow to the largest block asked for.
+    """
+    size = max(k * m for k, m in shapes)
+    kept = getattr(_kept, "buffers", [])
+    if len(kept) < len(shapes) or kept[0].size < size:
+        size = max([size] + [b.size for b in kept])
+        kept = _kept.buffers = [np.empty(size) for _ in range(max(len(shapes), len(kept)))]
+    return [b[:k * m].reshape(k, m) for b, (k, m) in zip(kept, shapes)]
 
 
 def _blocks(n: int) -> list[slice]:
@@ -178,62 +198,102 @@ def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) 
     second into one of _RING reused block buffers.  compose(rows, a, b)
     composes a block in place into a, the first stream's rows, from b, the
     second's, as soon as both streams hold it; then the block's columns are
-    kept.  The second stream is drawn on the stream pool, which takes a free
-    buffer for each block and hands it over when it is filled.  If the pool
-    has not started the second stream once the first block of the first is
-    drawn, or every stream is to be drawn on this thread, the calling thread
-    draws each block of the second stream itself.  The buffers are allocated
-    on the calling thread, so the pool thread's malloc arena keeps none of
-    them, and none but the output grows with n.
+    kept.  The second stream's blocks are claimed in order and drawn one at a
+    time, by the stream pool or by the calling thread: until the pool thread
+    has started, the calling thread draws each block it needs itself; from
+    then on the pool thread draws each next block as soon as it holds a free
+    buffer, and the calling thread waits for it.  So a busy pool costs no
+    waiting, and how soon the pool starts decides only which thread draws the
+    first blocks, never whether the rest are drawn in parallel.  Every stream
+    is drawn on this thread when worker_count() is 1 or inside
+    _streams_on_this_thread.  The block buffers are the calling thread's
+    kept ones (_block_buffers), so the pool thread's malloc arena holds none
+    of them and none but the output grows with n; the pool thread is done
+    with them when this returns, also when it raises.
     """
     m = grid.n_points
     k = min(n, _BLOCK_ROWS)
-    if columns is None:
-        out = np.empty((n, m))
-    else:
-        out, scratch = np.empty((n, len(columns))), np.empty((k, m))
-    inc = np.empty((k, m - 1))
-    own = np.empty((k, m))  # the second stream's block when this thread draws it
-    pending = None
-    if worker_count() > 1 and not getattr(_own_streams, "on", False):
-        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-        for buffer in [own] + [np.empty((k, m)) for _ in range(_RING - 1)]:
-            free.put(buffer)
-        pool_inc = np.empty((k, m - 1))
+    blocks = _blocks(n)
+    pooled = worker_count() > 1 and not getattr(_own_streams, "on", False)
+    rings = _RING if pooled else 1
+    inc, pool_inc, scratch, *free = _block_buffers([(k, m - 1)] * 2 + [(k, m)] * (1 + rings))
+    out = np.empty((n, m) if columns is None else (n, len(columns)))
+    filled = {}  # block index -> that block of the second stream's paths
+    turn = threading.Condition()  # guards free, filled and the flags below
+    claimed, drawing, stopped, failed = 0, False, False, False
 
-        def draw_second():
+    def claim() -> tuple[int, np.ndarray]:
+        """The next block to draw and a free buffer for it; call holding turn."""
+        nonlocal claimed, drawing
+        i, b = claimed, free.pop()
+        claimed, drawing = i + 1, True
+        return i, b
+
+    def fill(i: int, b: np.ndarray, inc: np.ndarray) -> None:
+        _fill(b[:blocks[i].stop - blocks[i].start], second, inc)
+
+    def drawn(i: int | None, b: np.ndarray | None) -> None:
+        nonlocal drawing
+        with turn:
+            if i is not None:
+                filled[i] = b
+            drawing = False
+            turn.notify_all()
+
+    def draw_second():
+        nonlocal failed
+        while True:
+            with turn:
+                turn.wait_for(lambda: stopped or claimed == len(blocks) or (free and not drawing))
+                if stopped or claimed == len(blocks):
+                    return
+                i, b = claim()
             try:
-                for rows in _blocks(n):
-                    b = free.get()
-                    if b is None:  # the calling thread stopped early
-                        return
-                    ready.put(_fill(b[:rows.stop - rows.start], second, pool_inc))
-            finally:
-                ready.put(None)  # after the last block, or after an error
+                fill(i, b, pool_inc)
+            except BaseException:
+                with turn:
+                    failed = True
+                drawn(None, None)
+                raise
+            drawn(i, b)
 
-        pending = _STREAMS.submit(draw_second)
+    def second_block(i: int) -> np.ndarray:
+        """Block i of the second stream: the pool's, or drawn here while the pool has not started."""
+        with turn:
+            turn.wait_for(lambda: i in filled or failed or not (drawing or pool_started()))
+            if i in filled:
+                return filled.pop(i)
+            error = failed
+            if not error:
+                _, b = claim()  # block i: the pool has drawn none yet
+        if error:
+            pending.result()  # raises the second stream's error
+        try:
+            fill(i, b, inc)
+        finally:
+            drawn(None, None)
+        return b
+
+    def pool_started() -> bool:
+        return pending is not None and (pending.running() or pending.done())
+
+    pending = _STREAMS.submit(draw_second) if pooled else None
     try:
-        for rows in _blocks(n):
-            size = rows.stop - rows.start
-            a = _fill(out[rows] if columns is None else scratch[:size], first, inc)
-            if rows.start == 0 and pending is not None and pending.cancel():
-                pending = None
-            if pending is None:
-                b = _fill(own[:size], second, inc)
-            else:
-                b = ready.get()
-                if b is None:
-                    pending.result()  # raises the second stream's error
-            compose(rows, a, b)
+        for i, rows in enumerate(blocks):
+            a = _fill(out[rows] if columns is None else scratch[:rows.stop - rows.start], first, inc)
+            b = second_block(i)
+            compose(rows, a, b[:rows.stop - rows.start])
             if columns is not None:
                 out[rows] = a[:, columns]
-            if pending is not None:
-                free.put(b.base)  # the whole buffer back to the ring
+            with turn:
+                free.append(b)
+                turn.notify_all()
     finally:
-        if pending is not None:
-            free.put(None)  # ends the pool's draw if this thread stopped early
-    if pending is not None:
-        pending.result()
+        with turn:
+            stopped = True  # ends the pool's draw, also when this thread stopped early
+            turn.notify_all()
+        if pending is not None and not pending.cancel():
+            futures.wait([pending])  # the pool thread is done with this thread's buffers
     return out
 
 

@@ -3,7 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -482,6 +482,73 @@ def test_calling_thread_draws_the_second_stream_when_the_pool_is_busy(monkeypatc
         assert _same_bits(a, r)
 
 
+class _LatePool:
+    """A stream pool whose one task starts only once go is set."""
+
+    def __init__(self):
+        self.go = threading.Event()
+        self.future = None
+
+    def submit(self, fn):
+        self.future = future = Future()
+
+        def run():
+            assert self.go.wait(10)
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn())
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+        threading.Thread(target=run, daemon=True).start()
+        return future
+
+
+@pytest.mark.parametrize("columns", [None, [0, 9, 24]])
+def test_a_late_pool_draws_the_blocks_after_those_the_calling_thread_drew(monkeypatch, columns):
+    # the calling thread draws the Levy blocks it needs until the pool thread
+    # starts; from then on the pool thread draws every next one
+    monkeypatch.setenv("BRIDGE_THREADS", "2")
+    g = TimeGrid.uniform(1.0, 24)
+    n = 5 * sampling._BLOCK_ROWS + 37
+    model = _model(levy=POIS)
+    ref = sampling.sample_eta_batch(model, g, 190, n, 2)[0]
+    late = _LatePool()
+    monkeypatch.setattr(sampling, "_STREAMS", late)
+    levy_draw, drawers = sampling._levy_draw, []
+
+    def recording_levy_draw(*args):
+        draw = levy_draw(*args)
+
+        def record(inc):
+            drawers.append(threading.get_ident())
+            if len(drawers) == 2:  # the calling thread's second block: let the pool start
+                late.go.set()
+                for _ in range(1000):
+                    if late.future.running():
+                        break
+                    threading.Event().wait(0.01)
+            return draw(inc)
+
+        return record
+
+    monkeypatch.setattr(sampling, "_levy_draw", recording_levy_draw)
+    got = _in_thread(lambda: sampling.sample_eta_batch(model, g, 190, n, 2, columns)[0])
+    assert _same_bits(got, ref if columns is None else ref[:, columns])
+    assert len(drawers) == 6
+    assert drawers[0] == drawers[1] and len(set(drawers[2:])) == 1 and drawers[2] != drawers[0]
+
+
+def test_block_buffers_are_kept_per_thread():
+    first = sampling._block_buffers([(4, 3), (4, 2)])
+    again = sampling._block_buffers([(2, 5), (3, 2)])
+    assert [b.shape for b in again] == [(2, 5), (3, 2)]
+    assert all(np.shares_memory(a, b) for a, b in zip(first, again))
+    assert not np.shares_memory(first[0], first[1])
+    other = _in_thread(lambda: sampling._block_buffers([(4, 3)]))
+    assert not np.shares_memory(first[0], other[0])
+
+
 class _LevyDrawFailed(RuntimeError):
     pass
 
@@ -596,10 +663,11 @@ def test_returned_columns_equal_the_full_paths_columns(monkeypatch, threads, kin
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_eta_batch_memory_is_the_output_and_a_few_block_buffers(monkeypatch, threads):
-    # one thread: the first stream's increments, the second stream's block and a
-    # composition temporary; with the stream pool also its increments and a
-    # second block buffer.  Drawing the second stream's full paths first would
-    # add a whole output's worth.
+    # the thread keeps its block buffers from the warm-up batch, so the peak is
+    # the output and the composition's block-sized temporaries, which the
+    # bound leaves room for with a thread's full set of block buffers besides.
+    # Drawing the second stream's full paths first would add a whole output's
+    # worth.
     monkeypatch.setenv("BRIDGE_THREADS", threads)
     g = TimeGrid.uniform(1.0, 256)
     n = 4 * sampling._BLOCK_ROWS + 37

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .numerics import (DEGENERATE, GAMMA, POISSON, QuadratureError,
                        integrate_panels)
@@ -64,11 +64,22 @@ class LevyLaw:
     variance = mean
 
     def tail_quantile(self, t: float, tail: float = 1e-14) -> float:
-        """Upper quantile of X_t, used to bracket integrals over the law."""
+        """Upper quantile of X_t, used to bracket integrals over the law.
+
+        The steps and special functions of scipy.stats' gamma and Poisson
+        ppf, so the quantiles equal theirs bit for bit without importing
+        scipy.stats; as there, a gamma shape t <= 0 has none (nan).
+        """
+        q = 1.0 - tail
         if self.kind == GAMMA:
-            return float(stats.gamma.ppf(1.0 - tail, a=t))
+            return float(special.gammaincinv(t, q)) if t > 0.0 else np.nan
         if self.kind == POISSON:
-            return float(stats.poisson.ppf(1.0 - tail, mu=self.rate * t))
+            mu = self.rate * t
+            if q == 1.0 and mu >= 0.0:  # no finite quantile: the upper end of the support
+                return np.inf
+            n = np.ceil(special.pdtrik(q, mu))
+            below = np.maximum(n - 1.0, 0.0)
+            return float(below if special.pdtr(below, mu) >= q else n)
         return 0.0
 
 

@@ -8,9 +8,9 @@ the threads only reorder work, never results.  Batches run on
 every one of those threads has a batch, each batch draws both of its streams
 on its own thread, serially; otherwise (one batch, or fewer batches than
 threads) the sampler draws a batch's Levy stream on its stream pool, in
-lockstep with W.  The posterior and pricing oracles ask the sampler for the
-column at t only, so a batch holds O(batch size) values.  Oracles read the
-formula under test only to obtain the target.
+lockstep with W.  Every oracle asks the sampler for the columns it reads
+only, so a batch of a two-stream process holds O(batch size) values.
+Oracles read the formula under test only to obtain the target.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def grid_builder(process: str, T: float, steps: int, levy: LevyLaw | None = None
     grid = TimeGrid.uniform(T, steps)
 
     def build(seed, n, batch, times):
-        idx = [grid.index_of(ti) for ti in times]
-        return sample(grid, levy, seed, n, batch)[:, idx]
+        # the two-stream samplers keep only these columns, so a batch holds O(n) values
+        return sample(grid, levy, seed, n, batch, [grid.index_of(ti) for ti in times])
 
     return build
 

@@ -537,12 +537,18 @@ def positive_part_integral(g: Callable, lo: float, hi: float, abs_tol: float, re
     Kinks are located by a 201-point scan in one call of g and polished by
     root finding; with the known kinks of g in ``points`` they become break
     points of the panel rule, every gap starting as four panels, which calls
-    g as ``integrate_panels`` calls its integrand.
+    g as ``integrate_panels`` calls its integrand.  The root finder reads g
+    at its bracket ends from the scan, which equals g's scalar calls there.
     """
     xs = np.linspace(lo, hi, 201)
     vals = np.broadcast_to(g(xs), xs.shape)
     change = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
-    kinks = [optimize.brentq(lambda x: float(g(x)), xs[i], xs[i + 1]) for i in change]
+    scanned = dict(zip(xs.tolist(), vals.tolist()))
+
+    def g_at(x: float) -> float:
+        return scanned[x] if x in scanned else float(g(x))
+
+    kinks = [optimize.brentq(g_at, xs[i], xs[i + 1]) for i in change]
     breaks = np.unique([lo, *kinks, *(p for p in points if lo < p < hi), hi])
     grid = np.concatenate([np.linspace(a, b, 5)[:-1] for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
     return integrate_panels(lambda x: np.maximum(g(x), 0.0), grid, abs_tol, rel_tol)

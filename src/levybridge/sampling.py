@@ -378,8 +378,9 @@ def _brownian_and_levy(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: i
                          compose, columns)
 
 
-def sample_zeta_batch(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int = 0) -> np.ndarray:
-    return _brownian_and_levy(grid, law, seed, n, batch, lambda rows, w, x: zeta_values(grid, w, x, out=w))
+def sample_zeta_batch(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int = 0, columns=None) -> np.ndarray:
+    """Batch of zeta paths; columns is as for sample_eta_batch."""
+    return _brownian_and_levy(grid, law, seed, n, batch, lambda rows, w, x: zeta_values(grid, w, x, out=w), columns)
 
 
 def sample_eta_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0, columns=None):
@@ -418,24 +419,37 @@ def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, ba
 
 # -- one table of process samplers --------------------------------------------
 
-def _brownian_pair(grid: TimeGrid, seed: int, n: int, batch: int, pinned) -> np.ndarray:
-    """pinned(grid, w, b, out) of two Brownian batches, composed in place into w."""
+def _brownian_pair(grid: TimeGrid, seed: int, n: int, batch: int, pinned, columns=None) -> np.ndarray:
+    """pinned(grid, w, b, out) of two Brownian batches, composed in place into w; columns as for _draw_streams."""
     return _draw_streams(grid, n, _brownian_draw(grid, seed, (batch, 0)), _brownian_draw(grid, seed, (batch, 1)),
-                         lambda rows, w, b: pinned(grid, w, b, out=w))
+                         lambda rows, w, b: pinned(grid, w, b, out=w), columns)
 
 
-# Batch sampler per process name: (grid, source, seed, n, batch) -> path values,
-# paths as rows.  source is the noise law for zeta and levy-reversed, the market
-# model for eta and kappa, and unused by the Brownian processes.
+def _in_columns(values: np.ndarray, columns) -> np.ndarray:
+    """The full paths' values in the grid columns asked for (all of them when None)."""
+    return values if columns is None else values[:, columns]
+
+
+# Batch sampler per process name: (grid, source, seed, n, batch, columns=None)
+# -> path values, paths as rows, in the grid columns asked for (all of them by
+# default).  source is the noise law for zeta and levy-reversed, the market
+# model for eta and kappa, and unused by the Brownian processes.  The
+# two-stream samplers keep only those columns as they compose each block; the
+# others draw full paths and slice.
 PROCESS_SAMPLERS = {
-    "brownian": lambda grid, source, seed, n, batch: brownian_batch(grid, seed, n, key=(batch, 0)),
-    "bridge": lambda grid, source, seed, n, batch: bridge_values(
-        grid, brownian_batch(grid, seed, n, key=(batch, 0))),
-    "bar-beta": lambda grid, source, seed, n, batch: _brownian_pair(grid, seed, n, batch, bar_beta_values),
-    "tilde-beta": lambda grid, source, seed, n, batch: _brownian_pair(grid, seed, n, batch, tilde_beta_values),
-    "zeta": lambda grid, law, seed, n, batch: sample_zeta_batch(grid, law, seed, n, batch),
-    "levy-reversed": lambda grid, law, seed, n, batch: reverse_values(
-        grid, levy_batch(law, grid, seed, n, key=(batch, 1))),
-    "eta": lambda grid, model, seed, n, batch: sample_eta_batch(model, grid, seed, n, batch)[0],
-    "kappa": lambda grid, model, seed, n, batch: sample_kappa_batch(model, grid, seed, n, batch)[0],
+    "brownian": lambda grid, source, seed, n, batch, columns=None: _in_columns(
+        brownian_batch(grid, seed, n, key=(batch, 0)), columns),
+    "bridge": lambda grid, source, seed, n, batch, columns=None: _in_columns(bridge_values(
+        grid, brownian_batch(grid, seed, n, key=(batch, 0))), columns),
+    "bar-beta": lambda grid, source, seed, n, batch, columns=None: _brownian_pair(
+        grid, seed, n, batch, bar_beta_values, columns),
+    "tilde-beta": lambda grid, source, seed, n, batch, columns=None: _brownian_pair(
+        grid, seed, n, batch, tilde_beta_values, columns),
+    "zeta": lambda grid, law, seed, n, batch, columns=None: sample_zeta_batch(grid, law, seed, n, batch, columns),
+    "levy-reversed": lambda grid, law, seed, n, batch, columns=None: _in_columns(reverse_values(
+        grid, levy_batch(law, grid, seed, n, key=(batch, 1))), columns),
+    "eta": lambda grid, model, seed, n, batch, columns=None: sample_eta_batch(
+        model, grid, seed, n, batch, columns)[0],
+    "kappa": lambda grid, model, seed, n, batch, columns=None: sample_kappa_batch(
+        model, grid, seed, n, batch, columns)[0],
 }

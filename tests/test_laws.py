@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+import levybridge
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution, QuadratureError
 from levybridge.sampling import rng_for
 
@@ -15,6 +20,48 @@ def test_levy_law_validation():
     assert LevyLaw.poisson(2.0).variance(0.5) == 1.0
     assert LevyLaw.degenerate().mean(1.0) == 0.0
     assert LevyLaw.standard_gamma().tail_quantile(0.5) > 10.0
+
+
+# the tails the pricers (default), the CLI and the acceptance tests pass
+QUANTILE_TAILS = [1e-12, 1e-13, 1e-14]
+LAW_TIMES = np.logspace(-8.0, np.log10(50.0), 60)
+POISSON_RATES = np.logspace(-2.0, np.log10(50.0), 9)
+
+
+@pytest.mark.parametrize("tail", QUANTILE_TAILS)
+def test_tail_quantile_equals_scipy_stats_bit_for_bit(tail):
+    from scipy import stats  # the reference: the library itself does not import scipy.stats
+
+    for t in LAW_TIMES:
+        want = float(stats.gamma.ppf(1.0 - tail, a=t))
+        assert LevyLaw.standard_gamma().tail_quantile(t, tail).hex() == want.hex(), t
+        for rate in POISSON_RATES:
+            want = float(stats.poisson.ppf(1.0 - tail, mu=rate * t))
+            assert LevyLaw.poisson(rate).tail_quantile(t, tail).hex() == want.hex(), (rate, t)
+
+
+def test_tail_quantile_edges_equal_scipy_stats():
+    from scipy import stats
+
+    # no gamma quantile at a shape t <= 0; a tail below half an ulp of 1 leaves
+    # the upper end of the support
+    for t in (0.0, -1.0, np.nan, np.inf, 1e-300, 0.5):
+        for tail in (1e-14, 1e-17):
+            want = float(stats.gamma.ppf(1.0 - tail, a=t))
+            assert LevyLaw.standard_gamma().tail_quantile(t, tail).hex() == want.hex(), (t, tail)
+            want = float(stats.poisson.ppf(1.0 - tail, mu=2.0 * t))
+            assert LevyLaw.poisson(2.0).tail_quantile(t, tail).hex() == want.hex(), (t, tail)
+    assert LevyLaw.degenerate().tail_quantile(0.5) == 0.0
+
+
+def test_library_start_up_leaves_out_scipy_stats():
+    # scipy.stats costs about a third of a second at import, and nothing in the
+    # library needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levybridge.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, levybridge, levybridge.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_payoff_validation():

@@ -253,6 +253,25 @@ def test_observation_memory_does_not_grow_with_the_steps(monkeypatch, threads, m
     assert growth <= 10 * sampling._BLOCK_ROWS * (200 - 40) * 8
 
 
+def _builder_peak(process, steps, n):
+    build = grid_builder(process, 1.0, steps, levy=GAMMA)
+    tracemalloc.start()
+    try:
+        build(51, n, 0, (0.5,))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("process", ["zeta", "tilde-beta"])
+def test_two_stream_builder_memory_does_not_grow_with_the_steps(process):
+    # the two-stream samplers keep only the columns asked for as they compose
+    # each block; n full paths of 200 steps would add n * 160 * 8 bytes
+    n = 24 * sampling._BLOCK_ROWS
+    growth = _builder_peak(process, 200, n) - _builder_peak(process, 40, n)
+    assert growth <= 10 * sampling._BLOCK_ROWS * (200 - 40) * 8
+
+
 def test_oracles_when_no_sampled_path_survives_to_t():
     # every payoff is revealed by t, so each mean is the revealed payoff
     model = MarketModel(1.0, 1.0, 0.5, RateCurve.flat(0.03), BINARY, GAMMA,

@@ -662,6 +662,21 @@ def test_returned_columns_equal_the_full_paths_columns(monkeypatch, threads, kin
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+def test_every_process_sampler_returns_the_full_paths_columns(monkeypatch, threads):
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    g = TimeGrid.uniform(1.0, 16)
+    n = sampling._BLOCK_ROWS + 37
+    sources = {"zeta": POIS, "levy-reversed": GAMMA, "eta": _model(levy=POIS),
+               "kappa": _model(mu=0.5, default_law=DefaultTimeLaw.atoms([0.25, 1.0], [0.5, 0.5], horizon=1.0))}
+    for process, sample in sampling.PROCESS_SAMPLERS.items():
+        source = sources.get(process)
+        full = sample(g, source, 170, n, 3)
+        assert full.shape == (n, g.n_points)
+        for columns in ([8], [16, 3, 3]):
+            assert _same_bits(sample(g, source, 170, n, 3, columns), full[:, columns]), (process, columns)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_eta_batch_memory_is_the_output_and_a_few_block_buffers(monkeypatch, threads):
     # the thread keeps its block buffers from the warm-up batch, so the peak is
     # the output and the composition's block-sized temporaries, which the

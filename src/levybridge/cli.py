@@ -111,6 +111,9 @@ def _cmd_density(args) -> int:
         _write_csv(args.output, _config_of(args), ["y", "psi"], rows)
         return 0
     law = LevyLaw.named(args.levy, args.lam)
+    if args.t < 0.0 or (args.t == 0.0 and law.kind == GAMMA):
+        bound = "positive" if law.kind == GAMMA else "non-negative"
+        raise ValueError(f"--t must be {bound} for the {args.levy} law, got {args.t:g}")
     if law.kind == POISSON:
         n_hi = int(law.tail_quantile(args.t, 1e-12))
         rows = [[float(k), poisson_pmf(args.t, law.rate, k)] for k in range(n_hi + 1)]

@@ -4,18 +4,15 @@ Every oracle is seed-deterministic: path generation is split into fixed-size
 batches with per-batch streams, partial sums are combined in batch order, and
 the threads only reorder work, never results.  Batches run on
 ``sampling.worker_count()`` threads, the calling thread among them
-(BRIDGE_THREADS when set, else the usable CPUs; 1 runs them serially).  When
-every one of those threads has a batch, each batch draws both of its streams
-on its own thread, serially; otherwise (one batch, or fewer batches than
-threads) the sampler draws a batch's Levy stream on its stream pool, in
-lockstep with W.  Every oracle asks the sampler for the columns it reads
-only, so a batch of a two-stream process holds O(batch size) values.
-Oracles read the formula under test only to obtain the target.
+(BRIDGE_THREADS when set, else the usable CPUs; 1 runs them serially), and
+each batch of a two-stream process draws its second stream on the one helper
+thread its sampler starts for it.  Every oracle asks the sampler for the
+columns it reads only, so a batch of a two-stream process holds O(batch size)
+values.  Oracles read the formula under test only to obtain the target.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,8 +24,7 @@ from . import default_pricing, pricing
 from .grids import TimeGrid
 from .laws import LevyLaw
 from .model import MarketModel
-from .sampling import (PROCESS_SAMPLERS, _streams_on_this_thread, sample_eta_batch, sample_kappa_batch,
-                       worker_count)
+from .sampling import PROCESS_SAMPLERS, sample_eta_batch, sample_kappa_batch, worker_count
 
 PASS_SIGMAS = 4.0
 BATCH_SIZE = 65_536
@@ -71,30 +67,23 @@ def _map_batches(fn, n_paths: int):
 
     The calling thread takes batches in turn with worker_count() - 1 pool
     threads: it would otherwise only wait, and each extra thread keeps a malloc
-    arena holding its freed batch arrays.  When every one of the worker_count()
-    threads has a batch, the CPUs are busy, so each batch draws both of its
-    streams on its own thread rather than queueing its Levy stream on the
-    sampler's stream pool.
+    arena holding its freed batch arrays.  A two-stream batch adds its
+    sampler's helper thread for as long as it draws, on every thread alike.
     """
     plan = _batches(n_paths)
     results = [None] * len(plan)
     todo = iter(plan)
     lock = threading.Lock()
 
-    threads = worker_count()
-    workers = min(threads, len(plan))
-    own_streams = 1 < workers == threads
-
     def work():
-        with _streams_on_this_thread() if own_streams else contextlib.nullcontext():
-            while True:
-                with lock:
-                    item = next(todo, None)
-                if item is None:
-                    return
-                results[item[0]] = fn(*item)
+        while True:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            results[item[0]] = fn(*item)
 
-    helpers = workers - 1
+    helpers = min(worker_count(), len(plan)) - 1
     if helpers < 1:
         work()
         return results

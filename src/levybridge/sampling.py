@@ -7,28 +7,23 @@ drawn from distinct streams of one root seed are independent.
 
 A batch's two large streams (W under key (batch, 0), the Levy or second
 Brownian path under key (batch, 1)) are drawn in lockstep, _BLOCK_ROWS rows
-at a time, the second on a thread of one module-level pool.  W goes into the
-output rows, the second stream into a small ring of reused block buffers,
-and the calling thread composes each block as soon as both streams hold it,
-so no full-size second-stream array exists; a caller that keeps only some
-grid columns gets n rows of those.  Until the pool thread has started, the
-calling thread draws the second stream's blocks it needs itself, and the
-pool thread takes over from the next block, so a late or busy pool slows a
-batch down by the blocks it missed, not by a switch to serial drawing;
-inside ``_streams_on_this_thread`` (every worker of an mc batch map busy)
-the calling thread draws them all.  Each thread keeps its block buffers
-for its next batch.  Philox is counter-based, so a stream's values depend
-only on its (seed, key), never on when or where it is drawn.  The library's
-thread count is ``worker_count()``; at 1 everything is serial.
+at a time.  W goes into the output rows, the second stream into a small ring
+of reused block buffers, and the calling thread composes each block as soon
+as both streams hold it, so no full-size second-stream array exists; a
+caller that keeps only some grid columns gets n rows of those.  One thread
+rule decides who draws the second stream: when ``worker_count()`` is above
+1, each two-stream call starts one helper thread that draws it and ends
+before the call returns; at 1 the calling thread draws both streams, and
+everything is serial.  Each thread keeps its block buffers for its next
+batch.  Philox is counter-based, so a stream's values depend only on its
+(seed, key), never on when or where it is drawn.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
+import queue
 import threading
-from concurrent import futures
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,37 +51,6 @@ def worker_count() -> int:
     if value < 1:
         raise ValueError(f"BRIDGE_THREADS must be a positive integer, got {env!r}")
     return value
-
-
-def _new_stream_pool() -> None:
-    """Create _STREAMS, the pool that draws the second stream of a batch.
-
-    The calling thread draws the first stream, so the pool has one thread fewer
-    than the usable CPUs.  Its tasks draw and never submit, so a caller waiting
-    on one (also from an mc batch thread) cannot deadlock.
-    """
-    global _STREAMS
-    _STREAMS = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1), thread_name_prefix="levybridge-stream")
-
-
-_new_stream_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the parent's pool threads, and a pool that
-    # counts them as idle would never run the child's draws
-    os.register_at_fork(after_in_child=_new_stream_pool)
-
-_own_streams = threading.local()
-
-
-@contextlib.contextmanager
-def _streams_on_this_thread():
-    """Within it, the samplers draw both streams of each batch on the calling thread."""
-    before = getattr(_own_streams, "on", False)
-    _own_streams.on = True
-    try:
-        yield
-    finally:
-        _own_streams.on = before
 
 
 def rng_for(seed: int, key: int | tuple[int, ...] | None = None) -> np.random.Generator:
@@ -198,102 +162,58 @@ def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) 
     second into one of _RING reused block buffers.  compose(rows, a, b)
     composes a block in place into a, the first stream's rows, from b, the
     second's, as soon as both streams hold it; then the block's columns are
-    kept.  The second stream's blocks are claimed in order and drawn one at a
-    time, by the stream pool or by the calling thread: until the pool thread
-    has started, the calling thread draws each block it needs itself; from
-    then on the pool thread draws each next block as soon as it holds a free
-    buffer, and the calling thread waits for it.  So a busy pool costs no
-    waiting, and how soon the pool starts decides only which thread draws the
-    first blocks, never whether the rest are drawn in parallel.  Every stream
-    is drawn on this thread when worker_count() is 1 or inside
-    _streams_on_this_thread.  The block buffers are the calling thread's
-    kept ones (_block_buffers), so the pool thread's malloc arena holds none
-    of them and none but the output grows with n; the pool thread is done
-    with them when this returns, also when it raises.
+    kept.  When worker_count() is above 1, one helper thread started for this
+    call draws the second stream's blocks in order and hands each over through
+    the ready queue, while this thread draws the first stream and composes,
+    then returns the buffer through the free queue; at 1, this thread draws
+    both.  The block buffers are the calling
+    thread's kept ones (_block_buffers), so none but the output grows with n;
+    the helper thread has ended when this returns, also when it raises.
     """
     m = grid.n_points
     k = min(n, _BLOCK_ROWS)
     blocks = _blocks(n)
-    pooled = worker_count() > 1 and not getattr(_own_streams, "on", False)
-    rings = _RING if pooled else 1
-    inc, pool_inc, scratch, *free = _block_buffers([(k, m - 1)] * 2 + [(k, m)] * (1 + rings))
+    helped = worker_count() > 1
+    inc, second_inc, scratch, *ring = _block_buffers([(k, m - 1)] * 2 + [(k, m)] * (1 + _RING))
     out = np.empty((n, m) if columns is None else (n, len(columns)))
-    filled = {}  # block index -> that block of the second stream's paths
-    turn = threading.Condition()  # guards free, filled and the flags below
-    claimed, drawing, stopped, failed = 0, False, False, False
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for b in ring:
+        free.put(b)
 
-    def claim() -> tuple[int, np.ndarray]:
-        """The next block to draw and a free buffer for it; call holding turn."""
-        nonlocal claimed, drawing
-        i, b = claimed, free.pop()
-        claimed, drawing = i + 1, True
-        return i, b
-
-    def fill(i: int, b: np.ndarray, inc: np.ndarray) -> None:
-        _fill(b[:blocks[i].stop - blocks[i].start], second, inc)
-
-    def drawn(i: int | None, b: np.ndarray | None) -> None:
-        nonlocal drawing
-        with turn:
-            if i is not None:
-                filled[i] = b
-            drawing = False
-            turn.notify_all()
-
-    def draw_second():
-        nonlocal failed
-        while True:
-            with turn:
-                turn.wait_for(lambda: stopped or claimed == len(blocks) or (free and not drawing))
-                if stopped or claimed == len(blocks):
-                    return
-                i, b = claim()
-            try:
-                fill(i, b, pool_inc)
-            except BaseException:
-                with turn:
-                    failed = True
-                drawn(None, None)
-                raise
-            drawn(i, b)
-
-    def second_block(i: int) -> np.ndarray:
-        """Block i of the second stream: the pool's, or drawn here while the pool has not started."""
-        with turn:
-            turn.wait_for(lambda: i in filled or failed or not (drawing or pool_started()))
-            if i in filled:
-                return filled.pop(i)
-            error = failed
-            if not error:
-                _, b = claim()  # block i: the pool has drawn none yet
-        if error:
-            pending.result()  # raises the second stream's error
-        try:
-            fill(i, b, inc)
-        finally:
-            drawn(None, None)
+    def draw_second(rows: slice) -> np.ndarray | None:
+        """A free buffer holding the second stream's rows; None once the calling thread has stopped."""
+        b = free.get()
+        if b is not None:
+            _fill(b[:rows.stop - rows.start], second, second_inc)
         return b
 
-    def pool_started() -> bool:
-        return pending is not None and (pending.running() or pending.done())
+    def helper():
+        try:
+            for rows in blocks:
+                b = draw_second(rows)
+                if b is None:
+                    return
+                ready.put(b)
+        except BaseException as exc:  # raised again on the calling thread
+            ready.put(exc)
 
-    pending = _STREAMS.submit(draw_second) if pooled else None
+    if helped:
+        thread = threading.Thread(target=helper, name="levybridge-stream", daemon=True)
+        thread.start()
     try:
-        for i, rows in enumerate(blocks):
+        for rows in blocks:
             a = _fill(out[rows] if columns is None else scratch[:rows.stop - rows.start], first, inc)
-            b = second_block(i)
-            compose(rows, a, b[:rows.stop - rows.start])
+            b = ready.get() if helped else draw_second(rows)
+            if isinstance(b, BaseException):
+                raise b
+            compose(rows, a, b[:len(a)])
             if columns is not None:
                 out[rows] = a[:, columns]
-            with turn:
-                free.append(b)
-                turn.notify_all()
+            free.put(b)
     finally:
-        with turn:
-            stopped = True  # ends the pool's draw, also when this thread stopped early
-            turn.notify_all()
-        if pending is not None and not pending.cancel():
-            futures.wait([pending])  # the pool thread is done with this thread's buffers
+        if helped:
+            free.put(None)  # ends the helper's draw, also when this thread stopped early
+            thread.join()
     return out
 
 

@@ -225,6 +225,19 @@ def test_density_levy_command(tmp_path):
     rc = main(["density", "--which", "levy", "--levy", "none", "--points", "4", "-o", str(out)])
     assert rc == 0
     assert _read(out)[1:] == ["y,density", "0,1"]
+    # so is the Poisson law at time 0
+    rc = main(["density", "--which", "levy", "--levy", "poisson", "--t", "0", "-o", str(out)])
+    assert rc == 0
+    assert _read(out)[1:] == ["y,density", "0,1"]
+
+
+@pytest.mark.parametrize("levy, t", [("poisson", "-1"), ("gamma", "-1"), ("none", "-0.5"), ("gamma", "0")])
+def test_density_levy_law_time_out_of_range_exits_2(tmp_path, capsys, levy, t):
+    out = tmp_path / "levy.csv"
+    rc = main(["density", "--which", "levy", "--levy", levy, "--t", t, "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "--t must be" in capsys.readouterr().err
 
 
 def test_verify_fast(tmp_path):

@@ -83,19 +83,6 @@ def test_oracles_identical_across_thread_counts(monkeypatch):
     assert runs[0]["option"].n_paths == n
 
 
-@pytest.mark.parametrize("threads, n_batches, own", [
-    ("2", 1, False), ("2", 2, True), ("2", 3, True), ("4", 2, False), ("4", 4, True), ("1", 3, False),
-])
-def test_batches_draw_their_own_streams_when_every_worker_has_one(monkeypatch, threads, n_batches, own):
-    # with a batch on every worker the CPUs are busy, and a batch's Levy stream
-    # is drawn on its own thread instead of on the sampler's stream pool
-    monkeypatch.setenv("BRIDGE_THREADS", threads)
-    monkeypatch.setattr(mc, "BATCH_SIZE", 10)
-    seen = mc._map_batches(lambda batch, size: getattr(sampling._own_streams, "on", False), 10 * n_batches)
-    assert seen == [own] * n_batches
-    assert not getattr(sampling._own_streams, "on", False)
-
-
 def test_bridge_threads_checked_before_any_batch(monkeypatch):
     monkeypatch.setenv("BRIDGE_THREADS", "abc")
     with pytest.raises(ValueError, match="BRIDGE_THREADS must be a positive integer, got 'abc'"):

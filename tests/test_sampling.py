@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import sys
@@ -404,28 +405,6 @@ def _batch_samplers():
 SAMPLERS = ["zeta", "eta", "kappa", "bar-beta", "tilde-beta"]
 
 
-class _StartedPool:
-    """The stream pool, but submit returns only once the task has started.
-
-    The calling thread then cannot take the second stream back, so a sampler
-    composes each block as the pool thread reports it.
-    """
-
-    def __init__(self, pool):
-        self.pool = pool
-
-    def submit(self, fn, *args):
-        started = threading.Event()
-
-        def run():
-            started.set()
-            return fn(*args)
-
-        future = self.pool.submit(run)
-        assert started.wait(10)
-        return future
-
-
 def _assert_same_runs(run, ref):
     for got, want in zip(run, ref):
         for a, r in zip(got, want):
@@ -445,98 +424,27 @@ def test_batch_samplers_identical_across_thread_counts(monkeypatch, name):
     for run in runs[1:]:
         _assert_same_runs(run, runs[0])
     assert not np.array_equal(runs[0][0][0], runs[0][1][0])  # the two batches differ
-    with sampling._streams_on_this_thread():  # as inside an mc map with every worker busy
-        _assert_same_runs([sample(b) for b in (0, 1)], runs[0])
-    monkeypatch.setattr(sampling, "_STREAMS", _StartedPool(sampling._STREAMS))
-    _assert_same_runs([sample(b) for b in (0, 1)], runs[0])
 
 
 def _in_thread(fn, timeout=30):
-    """fn() on a fresh thread; its result, or its error, within timeout seconds."""
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        return pool.submit(fn).result(timeout=timeout)
-    finally:
-        pool.shutdown(wait=False)
+    """fn() on a fresh daemon thread; its result, or its error, within timeout seconds.
+
+    A daemon thread, so that a hung fn fails the test and leaves the run free to exit.
+    """
+    future = Future()
+
+    def run():
+        try:
+            future.set_result(fn())
+        except BaseException as exc:  # raised again by future.result below
+            future.set_exception(exc)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future.result(timeout=timeout)
 
 
-@pytest.mark.parametrize("name", SAMPLERS)
-def test_calling_thread_draws_the_second_stream_when_the_pool_is_busy(monkeypatch, name):
-    sample = _batch_samplers()[name]
-    monkeypatch.setenv("BRIDGE_THREADS", "1")
-    ref = sample(1)
-    monkeypatch.setenv("BRIDGE_THREADS", "2")
-    busy = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(sampling, "_STREAMS", busy)
-    release = threading.Event()
-    started = threading.Event()
-    blocker = busy.submit(lambda: (started.set(), release.wait(60)))
-    try:
-        assert started.wait(10)
-        got = _in_thread(lambda: sample(1))
-        assert not blocker.done()  # the batch never waited on the pool
-    finally:
-        release.set()
-        busy.shutdown(wait=True)
-    for a, r in zip(got, ref):
-        assert _same_bits(a, r)
-
-
-class _LatePool:
-    """A stream pool whose one task starts only once go is set."""
-
-    def __init__(self):
-        self.go = threading.Event()
-        self.future = None
-
-    def submit(self, fn):
-        self.future = future = Future()
-
-        def run():
-            assert self.go.wait(10)
-            if future.set_running_or_notify_cancel():
-                try:
-                    future.set_result(fn())
-                except BaseException as exc:
-                    future.set_exception(exc)
-
-        threading.Thread(target=run, daemon=True).start()
-        return future
-
-
-@pytest.mark.parametrize("columns", [None, [0, 9, 24]])
-def test_a_late_pool_draws_the_blocks_after_those_the_calling_thread_drew(monkeypatch, columns):
-    # the calling thread draws the Levy blocks it needs until the pool thread
-    # starts; from then on the pool thread draws every next one
-    monkeypatch.setenv("BRIDGE_THREADS", "2")
-    g = TimeGrid.uniform(1.0, 24)
-    n = 5 * sampling._BLOCK_ROWS + 37
-    model = _model(levy=POIS)
-    ref = sampling.sample_eta_batch(model, g, 190, n, 2)[0]
-    late = _LatePool()
-    monkeypatch.setattr(sampling, "_STREAMS", late)
-    levy_draw, drawers = sampling._levy_draw, []
-
-    def recording_levy_draw(*args):
-        draw = levy_draw(*args)
-
-        def record(inc):
-            drawers.append(threading.get_ident())
-            if len(drawers) == 2:  # the calling thread's second block: let the pool start
-                late.go.set()
-                for _ in range(1000):
-                    if late.future.running():
-                        break
-                    threading.Event().wait(0.01)
-            return draw(inc)
-
-        return record
-
-    monkeypatch.setattr(sampling, "_levy_draw", recording_levy_draw)
-    got = _in_thread(lambda: sampling.sample_eta_batch(model, g, 190, n, 2, columns)[0])
-    assert _same_bits(got, ref if columns is None else ref[:, columns])
-    assert len(drawers) == 6
-    assert drawers[0] == drawers[1] and len(set(drawers[2:])) == 1 and drawers[2] != drawers[0]
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name == "levybridge-stream"]
 
 
 def test_block_buffers_are_kept_per_thread():
@@ -553,64 +461,96 @@ class _LevyDrawFailed(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("threads, pipelined", [("1", False), ("2", False), ("2", True), ("4", True)])
-def test_levy_draw_error_after_first_block_is_raised(monkeypatch, threads, pipelined):
+def _second_call_fails(fn, message):
+    """fn, but raising _LevyDrawFailed on its second call."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise _LevyDrawFailed(message)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+_LEVY_DRAW = sampling._levy_draw
+_KAPPA_COLUMNS = [0, 7, 16]
+
+
+def _failing_levy_draw(*args):
+    """sampling._levy_draw whose draw fails on the second block."""
+    return _second_call_fails(_LEVY_DRAW(*args), "levy draw failed")
+
+
+@pytest.mark.parametrize("threads, some_columns", [("1", False), ("2", False), ("2", True), ("4", True)])
+def test_levy_draw_error_after_first_block_is_raised(monkeypatch, threads, some_columns):
     monkeypatch.setenv("BRIDGE_THREADS", threads)
-    if pipelined:
-        monkeypatch.setattr(sampling, "_STREAMS", _StartedPool(sampling._STREAMS))
+    columns = _KAPPA_COLUMNS if some_columns else None
     g = TimeGrid.uniform(1.0, 16)
     n = 2 * sampling._BLOCK_ROWS + 37
     model = _model(mu=0.5, default_law=DefaultTimeLaw.atoms([0.5, 1.0], [0.5, 0.5], horizon=1.0))
-    ref = sample_kappa_batch(model, g, 150, n, 0)
-    levy_draw = sampling._levy_draw
-
-    def failing_levy_draw(*args):
-        draw, calls = levy_draw(*args), []
-
-        def second_block_fails(rows):
-            calls.append(rows)
-            if len(calls) == 2:
-                raise _LevyDrawFailed("levy draw failed")
-            return draw(rows)
-
-        return second_block_fails
-
-    monkeypatch.setattr(sampling, "_levy_draw", failing_levy_draw)
+    ref = sample_kappa_batch(model, g, 150, n, 0, columns)
+    monkeypatch.setattr(sampling, "_levy_draw", _failing_levy_draw)
     with pytest.raises(_LevyDrawFailed):
-        _in_thread(lambda: sample_kappa_batch(model, g, 150, n, 0))
-    monkeypatch.setattr(sampling, "_levy_draw", levy_draw)
-    assert sampling._STREAMS.submit(lambda: 7).result(timeout=10) == 7  # the pool still works
-    for a, r in zip(_in_thread(lambda: sample_kappa_batch(model, g, 150, n, 0)), ref):
+        _in_thread(lambda: sample_kappa_batch(model, g, 150, n, 0, columns))
+    monkeypatch.setattr(sampling, "_levy_draw", _LEVY_DRAW)
+    for a, r in zip(_in_thread(lambda: sample_kappa_batch(model, g, 150, n, 0, columns)), ref):
         assert _same_bits(a, r)
 
 
-@pytest.mark.parametrize("threads, pipelined", [("1", False), ("2", False), ("2", True)])
-def test_composition_error_ends_the_second_streams_draw(monkeypatch, threads, pipelined):
-    # the calling thread stops on its second block; the pool thread must not
+@pytest.mark.parametrize("threads, some_columns", [("1", False), ("2", False), ("2", True)])
+def test_composition_error_ends_the_second_streams_draw(monkeypatch, threads, some_columns):
+    # the calling thread stops on its second block; the helper thread must not
     # wait for a free block buffer forever
     monkeypatch.setenv("BRIDGE_THREADS", threads)
-    if pipelined:
-        monkeypatch.setattr(sampling, "_STREAMS", _StartedPool(sampling._STREAMS))
     g = TimeGrid.uniform(1.0, 16)
     model = _model(mu=0.5, default_law=DefaultTimeLaw.atoms([0.5, 1.0], [0.5, 0.5], horizon=1.0))
-    kappa_values, calls = sampling.kappa_values, []
-
-    def second_block_fails(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
-            raise _LevyDrawFailed("composition failed")
-        return kappa_values(*args, **kwargs)
-
-    monkeypatch.setattr(sampling, "kappa_values", second_block_fails)
+    monkeypatch.setattr(sampling, "kappa_values", _second_call_fails(sampling.kappa_values, "composition failed"))
     with pytest.raises(_LevyDrawFailed):
-        _in_thread(lambda: sample_kappa_batch(model, g, 151, 6 * sampling._BLOCK_ROWS, 0))
-    pool = sampling._STREAMS.pool if pipelined else sampling._STREAMS
-    assert pool.submit(lambda: 7).result(timeout=10) == 7  # the pool thread is free again
+        _in_thread(lambda: sample_kappa_batch(model, g, 151, 6 * sampling._BLOCK_ROWS, 0,
+                                              _KAPPA_COLUMNS if some_columns else None))
+    assert not _helper_threads()
+
+
+@pytest.mark.parametrize("threads, drawer", [("1", "MainThread"), ("2", "levybridge-stream")])
+def test_the_second_stream_is_drawn_on_the_helper_thread(monkeypatch, threads, drawer):
+    monkeypatch.setenv("BRIDGE_THREADS", threads)
+    drawers = []
+
+    def recording_levy_draw(*args):
+        draw = _LEVY_DRAW(*args)
+        return lambda inc: (drawers.append(threading.current_thread().name), draw(inc))
+
+    monkeypatch.setattr(sampling, "_levy_draw", recording_levy_draw)
+    sampling.sample_zeta_batch(TimeGrid.uniform(1.0, 8), GAMMA, 153, 2 * sampling._BLOCK_ROWS + 37)
+    assert drawers == [drawer] * 3
+
+
+@pytest.mark.parametrize("case", ["return", "levy-error", "compose-error"])
+def test_no_helper_thread_outlives_its_batch(monkeypatch, case):
+    g = TimeGrid.uniform(1.0, 16)
+    n = 6 * sampling._BLOCK_ROWS
+    model = _model(mu=0.5, default_law=DefaultTimeLaw.atoms([0.5, 1.0], [0.5, 0.5], horizon=1.0))
+    monkeypatch.setenv("BRIDGE_THREADS", "1")
+    ref = sample_kappa_batch(model, g, 152, n, 0)
+    monkeypatch.setenv("BRIDGE_THREADS", "2")
+    with monkeypatch.context() as patched:
+        if case == "levy-error":
+            patched.setattr(sampling, "_levy_draw", _failing_levy_draw)
+        elif case == "compose-error":
+            patched.setattr(sampling, "kappa_values", _second_call_fails(sampling.kappa_values, "composition failed"))
+        with contextlib.nullcontext() if case == "return" else pytest.raises(_LevyDrawFailed):
+            _in_thread(lambda: sample_kappa_batch(model, g, 152, n, 0))
+        assert not _helper_threads()
+    got = _in_thread(lambda: sample_kappa_batch(model, g, 152, n, 0))
+    assert not _helper_threads()
+    _assert_same_runs([got], [ref])
 
 
 def test_concurrent_samplers_share_the_stream_pool_without_mixing_blocks(monkeypatch):
-    # more sampling threads than CPUs, switching often: each batch must still
-    # compose its own blocks, whichever thread draws its second stream
+    # more sampling threads than CPUs, each with its own helper thread,
+    # switching often: each batch must still compose its own blocks
     monkeypatch.setenv("BRIDGE_THREADS", "4")
     g = TimeGrid.uniform(1.0, 24)
     n = 3 * sampling._BLOCK_ROWS + 37
@@ -721,9 +661,9 @@ def _zeta_in_child(queue):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_draws_on_its_own_stream_pool(monkeypatch):
-    # the parent's stream thread exists before the fork and is idle; the child
-    # must still get its second stream drawn
+def test_forked_child_starts_its_own_helper_threads(monkeypatch):
+    # the parent has drawn on a helper thread before the fork; the child starts
+    # its own for each batch
     monkeypatch.setenv("BRIDGE_THREADS", "2")
     g = TimeGrid.uniform(1.0, 8)
     ref = sampling.sample_zeta_batch(g, GAMMA, 140, 50, 1)

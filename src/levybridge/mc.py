@@ -57,6 +57,9 @@ def _make_report(name, estimate, std_error, n_paths, target, sigmas=PASS_SIGMAS)
 
 
 def _batches(n_paths: int):
+    # a standard error needs two paths; a negative count would divmod into one full-size batch
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 2:
+        raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     full, rem = divmod(n_paths, BATCH_SIZE)
     sizes = [BATCH_SIZE] * full + ([rem] if rem else [])
     return list(enumerate(sizes))

@@ -266,7 +266,7 @@ class _Panels:
         return tuple(np.bincount(self.elem, x, minlength=n) for x in (self.val, self.err, self.mag))
 
 
-def _evaluate(f, p: _Panels, shape: tuple, args=None) -> tuple[_Panels, tuple]:
+def _evaluate(f, p: _Panels, shape: tuple, args=None) -> _Panels:
     """Fill in the rule on every entry of p, with as few calls of f as the temporary cap allows.
 
     With ``args``, flat per-element arguments, f gets the entries' nodes as
@@ -274,10 +274,7 @@ def _evaluate(f, p: _Panels, shape: tuple, args=None) -> tuple[_Panels, tuple]:
     holds its elements, of shape ``shape``, in its closure and gets one
     element-major node array of that shape plus a node axis: the nodes of
     each element's entries side by side, unused slots at ``_REST``.  Its
-    output may broadcast the elements to a larger shape, as on the first
-    round of integrate_levy, whose panels follow the law times and break
-    points only; each entry then serves every element it broadcasts to.
-    Returns the evaluated panels and the elements' shape.
+    output must broadcast to that array's shape.
     """
     y, mass = p.nodes()
     if args is not None:
@@ -290,48 +287,38 @@ def _evaluate(f, p: _Panels, shape: tuple, args=None) -> tuple[_Panels, tuple]:
         order = np.argsort(p.elem, kind="stable")
         slot = np.full((count.size, count.max(initial=0)), -1)
         slot[p.elem[order], np.arange(order.size) - np.repeat(np.cumsum(count) - count, count)] = order
-        at, elem, parts = [], [], []
-        j, size = 0, count.size
-        while j < slot.shape[1]:
-            cols = slot[:, j:j + max(1, _MAX_TEMPORARY // (15 * size))]
-            width = cols.shape[1]
+        at, parts = [], []
+        width = max(1, _MAX_TEMPORARY // (15 * count.size))
+        for j in range(0, slot.shape[1], width):
+            cols = slot[:, j:j + width]
+            used, full = cols >= 0, shape + (15 * cols.shape[1],)
             nodes = np.full(cols.shape + (15,), _REST)
-            nodes[cols >= 0] = y[cols[cols >= 0]]
-            out = np.asarray(f(nodes.reshape(shape + (15 * width,))), dtype=float)
-            full = np.broadcast_shapes(out.shape, shape + (15 * width,))
-            cols = np.broadcast_to(cols.reshape(shape + (width,)), full[:-1] + (width,)).ravel()
-            used = np.flatnonzero(cols >= 0)
+            nodes[used] = y[cols[used]]
+            out = np.broadcast_to(np.asarray(f(nodes.reshape(full)), dtype=float), full)
             at.append(cols[used])
-            elem.append(used // width)
-            parts.append(np.broadcast_to(out, full).reshape(-1, 15)[used])
-            shape, size, j = full[:-1], cols.size // width, j + width
+            parts.append(out.reshape(cols.shape + (15,))[used])
         at = np.concatenate(at)
         p, mass, fy = p.take(at), mass[at], np.concatenate(parts)
-        p.elem = np.concatenate(elem)
     with np.errstate(invalid="ignore"):
         p.rule(np.where(mass > 0.0, fy * mass, 0.0))
-    return p, shape
+    return p
 
 
 def _refine(f, p: _Panels, shape: tuple, goal, q: Quadrature, args=None):
     """Bisect panels until every element's error estimate meets goal(val, mag).
 
+    p holds every element's first panels, each element of ``shape`` its own.
     An element that has not converged splits each of its panels holding more
     than its share of the goal; an element that splits nothing leaves the
     store with its result.  Each element's panels, and so its result, do not
-    depend on the other elements.  With ``args``, per-element arguments of
-    f, the first panels, which every element shares, go to f in one call
-    with the arguments broadcast against their nodes, and the panels of
-    later rounds as ``_evaluate`` passes them.  Returns value and error
-    estimate per element.
+    depend on the other elements.  Every round, the first included, goes to
+    f as ``_evaluate`` passes it, with ``args``, flat per-element arguments,
+    when f takes them.  Returns value and error estimate per element.
     """
     if p.elem.size == 0:
         return np.zeros(shape), np.zeros(shape)
-    first = f if args is None else lambda y: f(y, *(a[..., None] for a in args))
-    p, shape = _evaluate(first, p, shape)
+    p = _evaluate(f, p, shape, args)
     n = int(np.prod(shape, dtype=int))
-    if args is not None:
-        args = tuple(np.broadcast_to(a, shape).ravel() for a in args)
     val, err = np.zeros(n), np.zeros(n)
     for round_ in range(_MAX_ROUNDS + 1):
         v, e, m = p.totals(n)
@@ -344,8 +331,7 @@ def _refine(f, p: _Panels, shape: tuple, goal, q: Quadrature, args=None):
         val[leaves], err[leaves] = v[leaves], e[leaves]
         if not np.any(mark):
             break
-        fresh, _ = _evaluate(f, p.take(mark).halves(), shape, args)
-        p = p.take(stays[p.elem] & ~mark).join(fresh)
+        p = p.take(stays[p.elem] & ~mark).join(_evaluate(f, p.take(mark).halves(), shape, args))
     return val.reshape(shape), err.reshape(shape)
 
 
@@ -362,15 +348,13 @@ def _result(val):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _gamma_panels(t: np.ndarray, points) -> tuple[_Panels, tuple]:
-    """Head, line panels between the sorted break points, and a mapped tail, per element of t and points.
+def _gamma_panels(t: np.ndarray, points, shape: tuple) -> _Panels:
+    """Head, line panels between the sorted break points, and a mapped tail, per element of shape.
 
     Where the caller's break points reach past the law's bulk, its end
     40 + 2a joins them, so that no panel spans the bulk unseen; break points
     that are not finite, or lie where the density underflows, are dropped.
-    Returns the panels and the shape of their elements.
     """
-    shape = t.shape if points is None else np.broadcast_shapes(t.shape, points.shape[:-1])
     times, law = np.unique(t, return_inverse=True)
     a = np.broadcast_to(t, shape)[..., None]
     if points is None:
@@ -385,29 +369,29 @@ def _gamma_panels(t: np.ndarray, points) -> tuple[_Panels, tuple]:
         edges = np.concatenate([head, np.maximum(pts, head)], axis=-1)
     zero = np.zeros_like(edges[..., :1])
     kind = np.array([_HEAD] + [_LINE] * (edges.shape[-1] - 1) + [_TAIL])
-    panels = _Panels.live(_GammaMeasure(times), np.broadcast_to(law.reshape(t.shape), shape), kind,
-                          np.concatenate([zero, edges[..., :-1], zero], axis=-1),
-                          np.concatenate([edges, zero + 1.0], axis=-1),
-                          np.concatenate([np.zeros_like(edges), edges[..., -1:]], axis=-1))
-    return panels, shape
+    return _Panels.live(_GammaMeasure(times), np.broadcast_to(law.reshape(t.shape), shape), kind,
+                        np.concatenate([zero, edges[..., :-1], zero], axis=-1),
+                        np.concatenate([edges, zero + 1.0], axis=-1),
+                        np.concatenate([np.zeros_like(edges), edges[..., -1:]], axis=-1))
 
 
-def _poisson_sum(f, mu, points, q: Quadrature):
+def _poisson_sum(f, mu, shape: tuple, points, q: Quadrature):
     """Lattice sum over a window per element that starts at the pmf bulk and grows past the summand's peak.
 
-    mu is the pmf's mean per element.  The summand, f times the pmf, is
-    log-concave, so it has one peak, between the pmf bulk and the other
-    factor's peak, which the break points surround.  An element's window
-    doubles while its last term exceeds its predecessor (the log-term's
-    first difference is still positive), and while it has seen only zeros,
-    its pmf has not underflowed and it ends before the farthest finite break
-    point.  Past the peak the terms shrink at least geometrically with the
-    ratio of the last two, and the window doubles until that tail bound
-    meets the relative goal.  So the window does not grow with the break
-    points' distance unless it holds nothing but zeros, and not past the
-    pmf's underflow even then, nor past ``_MAX_LATTICE``.  Sums add the
-    sums of ``_BLOCK``-point blocks aligned to n = 0 in lattice order, so an
-    element's bits do not depend on the other elements' windows.
+    The elements have shape ``shape``; mu, the pmf's mean, broadcasts to it.
+    The summand, f times the pmf, is log-concave, so it has one peak,
+    between the pmf bulk and the other factor's peak, which the break points
+    surround.  An element's window doubles while its last term exceeds its
+    predecessor (the log-term's first difference is still positive), and
+    while it has seen only zeros, its pmf has not underflowed and it ends
+    before the farthest finite break point.  Past the peak the terms shrink
+    at least geometrically with the ratio of the last two, and the window
+    doubles until that tail bound meets the relative goal.  So the window
+    does not grow with the break points' distance unless it holds nothing
+    but zeros, and not past the pmf's underflow even then, nor past
+    ``_MAX_LATTICE``.  Sums add the sums of ``_BLOCK``-point blocks aligned
+    to n = 0 in lattice order, so an element's bits do not depend on the
+    other elements' windows.
     """
     log_mu, mean = np.log(mu)[..., None], mu[..., None]
 
@@ -415,21 +399,20 @@ def _poisson_sum(f, mu, points, q: Quadrature):
         return np.exp(n * log_mu - mean - gammaln(n + 1.0))
 
     def terms(n):
-        return f(n) * pmf(n)
+        return np.broadcast_to(f(n), shape + n.shape[-1:]) * pmf(n)
 
     def add_blocks(acc, a):
         blocks = a.reshape(a.shape[:-1] + (a.shape[-1] // _BLOCK, _BLOCK)).sum(axis=-1)
-        acc = np.broadcast_to(acc, blocks.shape[:-1])[..., None]
-        return np.cumsum(np.concatenate([acc, blocks], axis=-1), axis=-1)[..., -1]
+        return np.cumsum(np.concatenate([acc[..., None], blocks], axis=-1), axis=-1)[..., -1]
 
-    stop, done = np.asarray(np.ceil(mu + 10.0 * np.sqrt(mu) + 10.0) + 1.0), np.zeros(np.shape(mu))
+    stop, done = np.broadcast_to(np.ceil(mu + 10.0 * np.sqrt(mu) + 10.0) + 1.0, shape), np.zeros(shape)
     reach = -np.inf if points is None else np.max(np.where(np.isfinite(points), points, -np.inf), axis=-1)
-    total = mag = np.zeros(np.shape(mu))
+    total = mag = np.zeros(shape)
+    step = _BLOCK * max(1, _MAX_TEMPORARY // (_BLOCK * max(1, total.size)))
     while True:
         fresh = done < stop
         first = int(np.min(np.where(fresh, done, np.inf))) if np.any(fresh) else 0
         top = -(-int(np.max(stop, initial=first)) // _BLOCK) * _BLOCK
-        step = _BLOCK * max(1, _MAX_TEMPORARY // (_BLOCK * np.size(total)))
         for lo in range(first // _BLOCK * _BLOCK, top, step):
             n = np.arange(lo, min(lo + step, top), dtype=float)
             with np.errstate(invalid="ignore"):
@@ -448,16 +431,19 @@ def _poisson_sum(f, mu, points, q: Quadrature):
 
 def integrate_levy(f: Callable, law: LevyLaw, t,
                    q: Quadrature = DEFAULT_QUADRATURE, points=None):
-    """Integral of f(y) against the marginal law of X_t, for every element of f.
+    """Integral of f(y) against the marginal law of X_t, for every element.
 
-    f is called with an array y of nodes, nodes on the last axis, and must
-    broadcast over leading element axes: it returns one value per node and
-    element.  The result has the elements' shape (a float when f has no
-    leading axes).  The law time t is a float or an array with one time per
-    element; it broadcasts over the elements like ``points``, which holds
-    break points of the integrand, as for ``scipy.integrate.quad``: k per
-    element on its last axis, or one scalar.  Callers pass the Gaussian
-    factor's centre plus GAUSS_BREAKS times its standard deviation.
+    The elements are t and ``points`` without its last axis, broadcast
+    together; they are fixed before f is first called.  The law time t is a
+    float or an array of times.  ``points`` holds break points of the
+    integrand, as for ``scipy.integrate.quad``: k per element on its last
+    axis, or one scalar.  Callers pass the Gaussian factor's centre plus
+    GAUSS_BREAKS times its standard deviation.  f is called with an array y
+    of nodes, nodes on the last axis and the elements on the leading axes
+    (or none, which then broadcast), and returns one value per node and
+    element, or a value that broadcasts to that; any other shape raises
+    ValueError.  The result has the elements' shape (a float when there are
+    none).
 
     Gamma integrals use a Gauss-Jacobi head that absorbs y^(t-1) at the
     origin, 7/15-point Gauss-Kronrod panels split at the break points and at
@@ -480,18 +466,17 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
     if points is not None:
         points = np.asarray(points, dtype=float)
         points = points.reshape(1) if points.ndim == 0 else points
+    shape = t.shape if points is None else np.broadcast_shapes(t.shape, points.shape[:-1])
     if law.kind == DEGENERATE:
-        fy = np.asarray(f(np.zeros(1)), dtype=float)
-        fy = np.broadcast_to(fy, np.broadcast_shapes(fy.shape, (1,)))[..., 0]
-        return _result(np.broadcast_to(fy, np.broadcast_shapes(fy.shape, t.shape)))
+        return _result(np.broadcast_to(np.asarray(f(np.zeros(1)), dtype=float), shape + (1,))[..., 0])
 
     def goal(val, mag):
         return REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)
 
     if law.kind == GAMMA:
-        val, err = _refine(f, *_gamma_panels(t, points), goal, q)
+        val, err = _refine(f, _gamma_panels(t, points, shape), shape, goal, q)
     elif law.kind == POISSON:
-        val, err = _poisson_sum(f, law.rate * t, points, q)
+        val, err = _poisson_sum(f, law.rate * t, shape, points, q)
     else:  # pragma: no cover
         raise ValueError(law.kind)
     _check(val, err, q, "levy integral")
@@ -502,17 +487,15 @@ def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=(
     """Integral of f(x, *args) over [breaks[0], breaks[-1]] by adaptive Gauss-Kronrod panels, for every element.
 
     ``args`` are arrays of per-element arguments that broadcast together;
-    the result has their broadcast shape (a float when there are none).  f
-    returns one value per node.  Every gap between consecutive break points
-    starts as one panel, and the first call of f gets the nodes of these
-    panels, which every element shares, on the last axis, with the whole
-    arguments, each with a trailing axis of length 1.  The panels then live
-    in one flat store of (element, panel) entries.  Each round bisects the
-    panels of the elements whose error estimate is above a quarter of
-    rel_tol * |value| + abs_tol, and calls f with the new entries' nodes as
-    rows of 15 and each argument at their elements as a column; an element
-    leaves the store with its result once it has converged.  Raises
-    QuadratureError above the full amount.
+    they are the elements, and the result has their broadcast shape (a float
+    when there are none).  f returns one value per node.  Every element
+    starts with one panel per gap between consecutive break points, and the
+    panels live in one flat store of (element, panel) entries.  Each round,
+    the first included, calls f with the entries' nodes as rows of 15 and
+    each argument at their elements as a column, then bisects the panels of
+    the elements whose error estimate is above a quarter of
+    rel_tol * |value| + abs_tol; an element leaves the store with its result
+    once it has converged.  Raises QuadratureError above the full amount.
     """
     q = Quadrature(abs_tol, rel_tol)
 
@@ -523,9 +506,11 @@ def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=(
         shape = np.broadcast_shapes(x.shape, *(b.shape for b in a))
         return np.broadcast_to(np.asarray(f(x, *a), dtype=float), shape)
 
-    lo, hi = breaks[:-1], breaks[1:]
     args = tuple(np.asarray(a, dtype=float) for a in args)
-    val, err = _refine(values, _Panels.live(None, np.zeros(1, dtype=int), _LINE, lo, hi, 0.0), (), goal, q, args)
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    lo, hi = (np.broadcast_to(b, shape + b.shape) for b in (breaks[:-1], breaks[1:]))
+    panels = _Panels.live(None, np.zeros(shape, dtype=int), _LINE, lo, hi, 0.0)
+    val, err = _refine(values, panels, shape, goal, q, tuple(np.broadcast_to(a, shape).ravel() for a in args))
     _check(val, err, q, "panel integral")
     return _result(val)
 

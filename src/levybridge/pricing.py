@@ -348,32 +348,25 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
     s_end = T - u
     k = t / T
 
-    def core(y1, y2, y):
-        mean_t = (t / T) * (y1 + y2)
-        return (gauss_density(bridge_var, y - (u / T) * y2, shrink * (x - mean_t))
+    # the inner variable z is the one with the smaller law time, o the outer one; only y2 carries the
+    # u/T term, whose coefficient is 0.0 on the other variable
+    if s_inc <= s_end:  # z = y1, o = y2
+        s_inner, s_outer, c_o, c_z = s_inc, s_end, u / T, 0.0
+    else:  # z = y2, o = y1
+        s_inner, s_outer, c_o, c_z = s_end, s_inc, 0.0, u / T
+
+    def core(z, o, y):
+        mean_t = k * (z + o)
+        return (gauss_density(bridge_var, y - c_o * o - c_z * z, shrink * (x - mean_t))
                 * gauss_density(vt, x, mean_t))
 
-    def inner_points(d1, c1, d2, c2):
-        # core is a product of Gaussians in the inner variable z, exp(-(d_i + c_i z)^2 / 2 V_i)
+    def inner(y, o):
+        # core is a product of Gaussians in z, exp(-(d_i + c_i z)^2 / 2 V_i)
+        d1, c1, d2, c2 = y - c_o * o - shrink * x + shrink * k * o, shrink * k - c_z, x - k * o, -k
         prec = c1 * c1 / bridge_var + c2 * c2 / vt
         centre = -(c1 * d1 / bridge_var + c2 * d2 / vt) / prec
-        return centre[..., None] + GAUSS_BREAKS / np.sqrt(prec)
-
-    inner_q = q.scaled(0.9)
-    if s_inc <= s_end:
-        s_outer = s_end
-
-        def inner(y, y2):
-            pts = inner_points(y - (u / T) * y2 - shrink * x + shrink * k * y2, shrink * k, x - k * y2, -k)
-            return integrate_levy(lambda y1: core(y1, y2[:, None], y[:, None]), law, s_inc, inner_q,
-                                  points=pts)
-    else:
-        s_outer = s_inc
-
-        def inner(y, y1):
-            pts = inner_points(y - shrink * x + shrink * k * y1, shrink * k - u / T, x - k * y1, -k)
-            return integrate_levy(lambda y2: core(y1[:, None], y2, y[:, None]), law, s_end, inner_q,
-                                  points=pts)
+        pts = centre[..., None] + GAUSS_BREAKS / np.sqrt(prec)
+        return integrate_levy(lambda z: core(z, o[:, None], y[:, None]), law, s_inner, q.scaled(0.9), points=pts)
 
     def outer_f(z):
         ys, z = np.broadcast_arrays(y[..., None], z)
@@ -383,5 +376,5 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
         vals = np.concatenate([inner(c.real, c.imag) for c in chunks])
         return vals[at].reshape(z.shape)
 
-    num = integrate_levy(outer_f, law, s_outer, q.scaled(0.1))
+    num = integrate_levy(outer_f, law, np.broadcast_to(s_outer, y.shape), q.scaled(0.1))
     return num / bridge_levy_density(model, t, x, T - t, 0.0, k, q)

@@ -106,10 +106,9 @@ def _fill(block: np.ndarray, draw, inc: np.ndarray) -> np.ndarray:
     return block
 
 
-def _paths(grid: TimeGrid, n: int, draw, out: np.ndarray | None) -> np.ndarray:
+def _paths(grid: TimeGrid, n: int, draw) -> np.ndarray:
     """Paths from 0 with draw's increments, _BLOCK_ROWS rows at a time."""
-    if out is None:
-        out = np.empty((n, grid.n_points))
+    out = np.empty((n, grid.n_points))
     inc = np.empty((min(n, _BLOCK_ROWS), grid.n_steps))
     for rows in _blocks(n):
         _fill(out[rows], draw, inc)
@@ -144,13 +143,12 @@ def _levy_draw(law: LevyLaw, grid: TimeGrid, seed: int, key):
     raise ValueError(law.kind)  # pragma: no cover
 
 
-def brownian_batch(grid: TimeGrid, seed: int, n: int, key=None, out: np.ndarray | None = None) -> np.ndarray:
-    return _paths(grid, n, _brownian_draw(grid, seed, key), out)
+def brownian_batch(grid: TimeGrid, seed: int, n: int, key=None) -> np.ndarray:
+    return _paths(grid, n, _brownian_draw(grid, seed, key))
 
 
-def levy_batch(law: LevyLaw, grid: TimeGrid, seed: int, n: int, key=None,
-               out: np.ndarray | None = None) -> np.ndarray:
-    return _paths(grid, n, _levy_draw(law, grid, seed, key), out)
+def levy_batch(law: LevyLaw, grid: TimeGrid, seed: int, n: int, key=None) -> np.ndarray:
+    return _paths(grid, n, _levy_draw(law, grid, seed, key))
 
 
 def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) -> np.ndarray:
@@ -166,9 +164,9 @@ def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) 
     call draws the second stream's blocks in order and hands each over through
     the ready queue, while this thread draws the first stream and composes,
     then returns the buffer through the free queue; at 1, this thread draws
-    both.  The block buffers are the calling
-    thread's kept ones (_block_buffers), so none but the output grows with n;
-    the helper thread has ended when this returns, also when it raises.
+    both.  The block buffers are those kept for the calling thread
+    (_block_buffers), so none but the output grows with n; the helper thread
+    has ended when this returns, also when it raises.
     """
     m = grid.n_points
     k = min(n, _BLOCK_ROWS)

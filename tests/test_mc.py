@@ -36,6 +36,22 @@ def test_report_flags():
     assert not off.passed
 
 
+@pytest.mark.parametrize("n_paths", [-5, 0, 1])
+def test_oracles_reject_fewer_than_two_paths(n_paths):
+    b = grid_builder("brownian", 1.0, 4)
+    oracles = [
+        lambda: tower_check(_eta_model(), 0.5, n_paths, 1),
+        lambda: option_mc(_eta_model(), 0.5, 0.3, n_paths, 1, 0.2),
+        lambda: posterior_binning(_eta_model(), 0.5, 0.4, 0.02, n_paths, 1),
+        lambda: empirical_cov(b, 0.5, 0.5, n_paths, 1, 0.5),
+        lambda: mc.empirical_mean(b, 0.5, n_paths, 1, 0.0),
+        lambda: conditional_histogram(b, 0.3, 0.6, 0.0, 0.5, 4, n_paths, 1, lambda y: y, (-1.0, 1.0)),
+    ]
+    for oracle in oracles:
+        with pytest.raises(ValueError, match="n_paths"):
+            oracle()
+
+
 def test_empirical_cov_tilde():
     b = grid_builder("tilde-beta", 1.0, 20)
     rep = empirical_cov(b, 0.25, 0.75, 50_000, 3, cov_tilde(0.25, 0.75, 1.0))
@@ -106,7 +122,8 @@ def test_histogram_wide_window_recovers_marginal():
 
     def marginal(y):  # y is the array of the histogram's tabulation nodes
         vu = u * (T - u) / T
-        return integrate_levy(lambda w: gauss_density(vu, y[..., None], (u / T) * w), GAMMA, T - u)
+        return integrate_levy(lambda w: gauss_density(vu, y[..., None], (u / T) * w), GAMMA,
+                              np.broadcast_to(T - u, y.shape))
 
     reports = conditional_histogram(b, 0.3, u, 0.0, 100.0, 20, 400_000, 11,
                                     marginal, (-2.5, 3.5))

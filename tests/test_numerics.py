@@ -165,6 +165,22 @@ def test_integrate_levy_no_elements(law):
     assert vals.shape == (0,)
 
 
+@pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
+def test_integrate_levy_rejects_undeclared_elements(law):
+    # the elements are t and points without its last axis; an integrand may not add axes of its own
+    centres = np.array([-1.0, 0.5, 2.0])
+
+    def f(y):
+        return gauss_density(0.3, centres[..., None], y)
+
+    with pytest.raises(ValueError):
+        integrate_levy(f, law, 0.7)
+    with pytest.raises(ValueError):
+        integrate_levy(f, law, np.full(2, 0.7))
+    with pytest.raises(ValueError):
+        integrate_levy(f, law, 0.7, points=np.array([[-1.0, 0.0, 1.0], [1.0, 2.0, 3.0]]))
+
+
 def test_integrate_panels_one_integral_per_element():
     centres, widths = np.array([[-1.0, 0.5, 2.0], [3.5, 0.0, -4.0]]), np.array([0.02, 0.7, 3.0])
     breaks = np.array([-6.0, -1.0, 0.0, 2.0, 6.0])

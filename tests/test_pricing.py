@@ -310,10 +310,11 @@ def test_bridge_levy_density_over_payoff_atoms(levy):
     np.testing.assert_array_equal(likelihood_q(m, 0.3, hs, 0.2), [likelihood_q(m, 0.3, float(h), 0.2) for h in hs])
 
 
-@pytest.mark.parametrize("t, u", [(0.3, 0.6), (0.1, 0.8)], ids=["inner-increment", "inner-terminal"])
-def test_psi_over_an_array_of_y(t, u):
+@pytest.mark.parametrize("t, u, levy", [(0.3, 0.6, GAMMA), (0.1, 0.8, GAMMA), (0.3, 0.6, POIS), (0.1, 0.8, POIS)],
+                         ids=["inner-increment", "inner-terminal", "poisson-inner-increment", "poisson-inner-terminal"])
+def test_psi_over_an_array_of_y(t, u, levy):
     # (0.3, 0.6) integrates the increment on (T-u, T-t] inside, (0.1, 0.8) the terminal piece
-    m = _model()
+    m = _model(levy=levy)
     ys = np.array([[-0.3, 0.2], [0.7, 1.6]])
     vals = transition_density_psi(m, t, u, 0.4, ys)
     assert vals.shape == (2, 2)

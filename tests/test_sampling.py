@@ -548,7 +548,7 @@ def test_no_helper_thread_outlives_its_batch(monkeypatch, case):
     _assert_same_runs([got], [ref])
 
 
-def test_concurrent_samplers_share_the_stream_pool_without_mixing_blocks(monkeypatch):
+def test_concurrent_samplers_compose_their_own_blocks(monkeypatch):
     # more sampling threads than CPUs, each with its own helper thread,
     # switching often: each batch must still compose its own blocks
     monkeypatch.setenv("BRIDGE_THREADS", "4")

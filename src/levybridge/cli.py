@@ -13,8 +13,10 @@ from . import default_pricing, gaussian, mc, pricing
 from .grids import TimeGrid
 from .laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from .model import MarketModel, RateCurve, model_from_json
-from .numerics import GAMMA, POISSON, QuadratureError, gamma_density, poisson_pmf
+from .numerics import DEGENERATE, GAMMA, POISSON, QuadratureError, gamma_density, poisson_pmf
 from .sampling import PROCESS_SAMPLERS
+
+_MAX_TABLE_ROWS = 2_000_000  # of a ``density --which levy`` table, each built in one array call
 
 
 def _fmt(v) -> str:
@@ -98,32 +100,31 @@ def _cmd_density(args) -> int:
     if args.which == "psi":
         model = _load_model(args)
         T = model.maturity
-        if args.ymin is None or args.ymax is None:
-            sd = np.sqrt(args.u * (T - args.u) / T)
-            hi = (args.u / T) * model.levy.tail_quantile(T - args.u, 1e-12)
-            ymin = args.ymin if args.ymin is not None else -10.0 * sd
-            ymax = args.ymax if args.ymax is not None else hi + 10.0 * sd
-        else:
-            ymin, ymax = args.ymin, args.ymax
+        if not 0.0 < args.t < args.u < T:  # before the default y range, which needs u < T
+            raise ValueError("need 0 < t < u < T")
+        sd = np.sqrt(args.u * (T - args.u) / T)
+        hi = (args.u / T) * model.levy.tail_quantile(T - args.u, 1e-12)
+        ymin = -10.0 * sd if args.ymin is None else args.ymin
+        ymax = hi + 10.0 * sd if args.ymax is None else args.ymax
         ys = np.linspace(ymin, ymax, args.points)
-        psi = pricing.transition_density_psi(model, args.t, args.u, args.x, ys)
-        rows = [[float(y), float(p)] for y, p in zip(ys, psi)]
-        _write_csv(args.output, _config_of(args), ["y", "psi"], rows)
-        return 0
-    law = LevyLaw.named(args.levy, args.lam)
-    if args.t < 0.0 or (args.t == 0.0 and law.kind == GAMMA):
-        bound = "positive" if law.kind == GAMMA else "non-negative"
-        raise ValueError(f"--t must be {bound} for the {args.levy} law, got {args.t:g}")
-    if law.kind == POISSON:
-        n_hi = int(law.tail_quantile(args.t, 1e-12))
-        rows = [[float(k), poisson_pmf(args.t, law.rate, k)] for k in range(n_hi + 1)]
-    elif law.kind == GAMMA:
-        y_hi = law.tail_quantile(args.t, 1e-12)
-        rows = [[float(y), float(gamma_density(args.t, float(y)))]
-                for y in np.linspace(1e-9, y_hi, args.points)]
-    else:  # the degenerate law: one atom of mass 1 at 0, written like the pmf
-        rows = [[0.0, 1.0]]
-    _write_csv(args.output, _config_of(args), ["y", "density"], rows)
+        vals = pricing.transition_density_psi(model, args.t, args.u, args.x, ys)
+    else:
+        law = LevyLaw.named(args.levy, args.lam)
+        if args.t < 0.0 or (args.t == 0.0 and law.kind == GAMMA):
+            bound = "positive" if law.kind == GAMMA else "non-negative"
+            raise ValueError(f"--t must be {bound} for the {args.levy} law, got {args.t:g}")
+        if law.kind == DEGENERATE:  # one atom of mass 1 at 0, written like the pmf
+            ys, vals = np.zeros(1), np.ones(1)
+        else:
+            poisson = law.kind == POISSON
+            n_rows = law.tail_quantile(args.t, 1e-12) + 1.0 if poisson else args.points
+            if n_rows > _MAX_TABLE_ROWS:
+                what = f"--t {args.t:g} with --lam {args.lam:g}" if poisson else f"--points {args.points}"
+                raise ValueError(f"{what} asks for {n_rows:.0f} rows, more than the cap of {_MAX_TABLE_ROWS}")
+            ys = np.arange(n_rows) if poisson else np.linspace(1e-9, law.tail_quantile(args.t, 1e-12), n_rows)
+            vals = poisson_pmf(args.t, law.rate, ys) if poisson else gamma_density(args.t, ys)
+    header = ["y", "psi" if args.which == "psi" else "density"]
+    _write_csv(args.output, _config_of(args), header, zip(ys.tolist(), vals.tolist()))
     return 0
 
 

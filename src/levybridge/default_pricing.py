@@ -40,19 +40,11 @@ class DefaultQuote:
         require_probability_vector([w for _, _, w in self.posterior_joint])
 
 
-def on_payoff_ray(model: MarketModel, t: float, x, h):
-    """Whether the observation x sits on the ray sigma*t*h of payoff h, elementwise.
-
-    That is where the default-time information process stays from default on.
-    """
-    return np.abs(np.asarray(x) - model.sigma * t * np.asarray(h)) <= _RAY_TOL * max(1.0, abs(model.sigma) * t)
-
-
 def _match_atom(model: MarketModel, t: float, x: float) -> int | None:
-    """Index of the payoff atom whose ray sigma*t*h passes through x, if any."""
-    support = model.payoff.support
-    i = int(np.argmin(np.abs(model.sigma * t * support - x)))
-    return i if on_payoff_ray(model, t, x, support[i]) else None
+    """Index of the payoff atom whose ray sigma*t*h, where a defaulted path stays, passes through x, if any."""
+    dist = np.abs(model.sigma * t * model.payoff.support - x)
+    i = int(np.argmin(dist))
+    return i if dist[i] <= _RAY_TOL * max(1.0, abs(model.sigma) * t) else None
 
 
 def _revealed_atom(model: MarketModel, t: float, x: float) -> int | None:
@@ -123,16 +115,16 @@ def _survival_integral(model: MarketModel, t: float, x, h, q: Quadrature, g=None
                        abs_tol: float = UNDERFLOW):
     """Integral over default times r in (t, T] of g(r, h) times the bridge-plus-Levy density at x; g = 1 if None.
 
-    x and h are per-element arguments of the default-time integral; with g,
-    h is one float, which g gets.  The likelihood (g None) is resolved
-    relative to itself down to underflow, as integrate_levy resolves the
-    density's own integral.
+    x and h are per-element arguments of the default-time integral; g gets
+    h as an array that broadcasts with r.  The likelihood (g None) is
+    resolved relative to itself down to underflow, as integrate_levy
+    resolves the density's own integral.
     """
     law = _require_default_law(model)
     k = model.levy_drift_scale * t
 
-    def f(s, x, hs):
-        dens = bridge_levy_density(model, t, x, s, hs, k, q)
+    def f(s, x, h):
+        dens = bridge_levy_density(model, t, x, s, h, k, q)
         return dens if g is None else g(t + s, h) * dens
 
     return law.integrate(f, t, model.maturity, rel_tol=q.rel_tol, abs_tol=abs_tol, args=(x, h))
@@ -145,13 +137,13 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     On the revealed branch the payoff atom is read off the ray and tau is
     averaged over (0, t] under its prior restricted there; on the survival
     branch the joint density over (t, T] x atoms is applied as displayed.
-    g(r, h) is called with an array r of default times and a float h, and
-    returns one value per time; it may change sign.  The result is resolved
-    to q.rel_tol relative plus q.abs_tol absolute: on the survival branch the
+    g(r, h) is called with an array r of default times and returns one
+    value per time; it may change sign.  h is a float, the revealed atom, on
+    the revealed branch, and on the survival branch an array of every payoff
+    atom that broadcasts with r: one default-time integral gives the
+    numerator, as one gives the denominator.  The result is resolved to
+    q.rel_tol relative plus q.abs_tol absolute: on the survival branch the
     numerator's absolute tolerance is q.abs_tol times the posterior mass.
-    The denominator takes every payoff atom in one call of the survival
-    kernel; the numerator integrates one atom at a time, since g gets one
-    float h.
     """
     i = _revealed_atom(model, t, x)
     law = model.default_law
@@ -162,8 +154,7 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     den = sum(p * kern for p, kern in zip(probs, survival_kernel(model, t, x, support, q)))
     if den <= 0.0 or not np.isfinite(den):
         raise ArithmeticError("survival posterior mass vanished")
-    num = sum(p * _survival_integral(model, t, x, float(h), q, g, q.abs_tol * den)
-              for h, p in zip(support, probs))
+    num = sum(p * v for p, v in zip(probs, _survival_integral(model, t, x, support, q, g, q.abs_tol * den)))
     return num / den
 
 

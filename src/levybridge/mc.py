@@ -203,19 +203,18 @@ def _sample_observations(model: MarketModel, t: float, n_paths: int, seed: int):
 
     The one place the oracles choose the eta or the kappa sampler: eta when
     the model carries no default law, kappa otherwise.  A path has defaulted
-    when its value at t sits on its payoff ray.
+    when its kappa default index is at or below t's grid index.
     """
     grid = TimeGrid.uniform(model.maturity, _ORACLE_STEPS)
-    columns = [grid.index_of(t)]
+    j = grid.index_of(t)
 
     def one(batch, size):
         # only the time-t column is kept, so a batch holds O(size) values
         if model.default_law is None:
-            vals, h = sample_eta_batch(model, grid, seed, size, batch, columns)
+            vals, h = sample_eta_batch(model, grid, seed, size, batch, [j])
             return vals[:, 0], h, np.zeros(size, dtype=bool)
-        vals, _, h, _ = sample_kappa_batch(model, grid, seed, size, batch, columns)
-        x = vals[:, 0]
-        return x, h, default_pricing.on_payoff_ray(model, t, x, h)
+        vals, tau_idx, h, _ = sample_kappa_batch(model, grid, seed, size, batch, [j])
+        return vals[:, 0], h, tau_idx <= j
 
     return tuple(np.concatenate(part) for part in zip(*_map_batches(one, n_paths)))
 

@@ -64,11 +64,12 @@ DEFAULT_QUADRATURE = Quadrature()
 
 
 def gauss_density(t: float, x, y=0.0):
-    """Gaussian density with variance t and mean y, evaluated at x; t may be an array."""
+    """Gaussian density with variance t and mean y at x, 0 where the square overflows; t may be an array."""
     if np.any(np.asarray(t) <= 0.0):
         raise ValueError("variance must be positive")
     x = np.asarray(x, dtype=float)
-    return np.exp(-(x - y) ** 2 / (2.0 * t)) / (_SQRT_2PI * np.sqrt(t))
+    with np.errstate(over="ignore"):
+        return np.exp(-(x - y) ** 2 / (2.0 * t)) / (_SQRT_2PI * np.sqrt(t))
 
 
 def gamma_density(t: float, x):
@@ -527,7 +528,8 @@ def positive_part_integral(g: Callable, lo: float, hi: float, abs_tol: float, re
     """
     xs = np.linspace(lo, hi, 201)
     vals = np.broadcast_to(g(xs), xs.shape)
-    change = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
+    # signs, not a product: the product of two finite values can overflow
+    change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     scanned = dict(zip(xs.tolist(), vals.tolist()))
 
     def g_at(x: float) -> float:

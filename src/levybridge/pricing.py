@@ -334,11 +334,16 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
     inner one runs once per distinct pair of y and outer node in a round,
     so the unused slots of an outer element, which all hold one node, cost
     one inner integral between them.  The denominator, which does not
-    depend on y, is computed once.
+    depend on y, is computed once, first: a vanishing density of x raises
+    ArithmeticError before the numerator runs.
     """
     T = model.maturity
     if not 0.0 < t < u < T:
         raise ValueError("need 0 < t < u < T")
+    k = t / T
+    den = bridge_levy_density(model, t, x, T - t, 0.0, k, q)
+    if not 0.0 < den < np.inf:
+        raise ArithmeticError("density of the observation vanished: x too deep in the tails")
     y = np.asarray(y, dtype=float)
     law = model.levy
     vt = t * (T - t) / T
@@ -346,7 +351,6 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
     shrink = (T - u) / (T - t)
     s_inc = u - t
     s_end = T - u
-    k = t / T
 
     # the inner variable z is the one with the smaller law time, o the outer one; only y2 carries the
     # u/T term, whose coefficient is 0.0 on the other variable
@@ -377,4 +381,4 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
         return vals[at].reshape(z.shape)
 
     num = integrate_levy(outer_f, law, np.broadcast_to(s_outer, y.shape), q.scaled(0.1))
-    return num / bridge_levy_density(model, t, x, T - t, 0.0, k, q)
+    return num / den

@@ -8,6 +8,7 @@ import pytest
 from levybridge import cli, mc
 from levybridge.cli import main
 from levybridge.laws import LevyLaw
+from levybridge.numerics import gamma_density, poisson_pmf
 
 
 def _read(path):
@@ -240,6 +241,44 @@ def test_density_levy_law_time_out_of_range_exits_2(tmp_path, capsys, levy, t):
     assert "--t must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t, lam", [(0.5, 0.01), (3.0, 1.0), (20.0, 50.0)])
+def test_density_levy_poisson_table_equals_scalar_calls(tmp_path, t, lam):
+    out = tmp_path / "levy.csv"
+    assert main(["density", "--which", "levy", "--levy", "poisson", "--t", str(t), "--lam", str(lam),
+                 "-o", str(out)]) == 0
+    rows = _read(out)[2:]
+    assert rows == [f"{k},{poisson_pmf(t, lam, k):.17g}" for k in range(len(rows))]
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+def test_density_levy_gamma_table_equals_scalar_calls(tmp_path, t):
+    out = tmp_path / "levy.csv"
+    assert main(["density", "--which", "levy", "--levy", "gamma", "--t", str(t), "--points", "101",
+                 "-o", str(out)]) == 0
+    ys = np.linspace(1e-9, LevyLaw.standard_gamma().tail_quantile(t, 1e-12), 101)
+    assert _read(out)[2:] == [f"{y:.17g},{gamma_density(t, y):.17g}" for y in ys.tolist()]
+
+
+@pytest.mark.parametrize("argv, option", [(["--levy", "poisson", "--t", "1e10"], "--t 1e+10"),
+                                          (["--levy", "poisson", "--t", "1e4", "--lam", "1e4"], "--lam 10000"),
+                                          (["--levy", "gamma", "--points", "2000001"], "--points 2000001")])
+def test_density_levy_table_over_the_row_cap_exits_2(tmp_path, capsys, argv, option):
+    # the size is checked before any row is built: 1e10 Poisson rows would never finish
+    out = tmp_path / "levy.csv"
+    assert main(["density", "--which", "levy", *argv, "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err and "cap of 2000000" in err
+
+
+def test_density_psi_vanished_density_of_x_exits_1(tmp_path, capsys):
+    out = tmp_path / "psi.csv"
+    assert main(["density", "--which", "psi", "--t", "0.3", "--u", "0.6", "--x", "-30", "--points", "3",
+                 "-o", str(out)]) == 1
+    assert not out.exists()
+    assert "numerical failure: density of the observation vanished" in capsys.readouterr().err
+
+
 def test_verify_fast(tmp_path):
     out = tmp_path / "verify.csv"
     rc = main(["verify", "--suite", "fast", "--seed", "1", "-o", str(out)])
@@ -381,3 +420,71 @@ def test_cli_numbers_match_golden_table(tmp_path):
         for g, r in zip(got[1:], ref[1:]):
             np.testing.assert_allclose([float(v) for v in g.split(",")], [float(v) for v in r.split(",")],
                                        rtol=1e-12, atol=0.0, err_msg=name)
+
+
+# Model documents of the CLI table test: two good ones and four malformed ones
+# (non-numeric rate, missing payoff, probabilities that do not sum to 1, negative T)
+_TABLE_BASE = {"T": 1.0, "sigma": 1.0, "mu": 0.5, "payoff": {"support": [0.0, 1.0], "probs": [0.5, 0.5]},
+               "levy": {"kind": "gamma"}}
+_TABLE_MODELS = {
+    "eta": _TABLE_BASE,
+    "kappa": {**_TABLE_BASE, "default_law": {"kind": "atoms", "times": [0.25, 0.75], "weights": [0.3, 0.7]}},
+    "rate-string": {**_TABLE_BASE, "levy": {"kind": "poisson", "lambda": "abc"}},
+    "no-payoff": {k: v for k, v in _TABLE_BASE.items() if k != "payoff"},
+    "probs-off": {**_TABLE_BASE, "payoff": {"support": [0.0, 1.0], "probs": [0.5, 0.6]}},
+    "negative-T": {**_TABLE_BASE, "T": -1.0},
+}
+_PSI = ["density", "--which", "psi", "--points", "3"]
+_SIM = ["--steps", "4", "--paths", "2"]
+
+
+def _table_cases():
+    cases = []
+    for m in ("eta", "kappa"):
+        for t in ("0", "1", "-0.5", "2"):
+            cases.append(["price", "--model", m, "--t", t, "--x", "0.3"])
+            cases.append(["option", "--model", m, "--t", t, "--K", "0.5"])
+        cases += [["price", "--model", m, "--t", "0.5", f"--x={x}"] for x in ("-30", "1e200", "-1e200")]
+        cases += [["option", "--model", m, "--t", "0.5", f"--K={k}"] for k in ("-1", "1e300")]
+    cases += [_PSI + ["--t", t, "--u", u] for t, u in (("0.6", "0.6"), ("0.7", "0.6"), ("0", "0.6"), ("1", "0.6"),
+                                                        ("-0.5", "0.6"), ("2", "0.6"), ("0.3", "1"), ("0.3", "2"))]
+    cases += [_PSI + [f"--x={x}"] for x in ("-30", "1e200", "-1e200")]
+    cases += [_PSI + opt for opt in (["--T", "0"], ["--T", "-1"], ["--sigma", "0"],
+                                     ["--levy", "poisson", "--lam", "0"], ["--levy", "poisson", "--lam", "-1"])]
+    cases += [["density", "--which", "levy", "--levy", levy, "--t", t, "--points", "5"]
+              for levy in ("gamma", "poisson", "none") for t in ("0", "1", "-0.5", "2")]
+    cases += [["density", "--which", "levy", "--levy", "poisson", "--lam", lam] for lam in ("0", "-1")]
+    cases.append(["density", "--which", "levy", "--levy", "poisson", "--t", "1e10"])
+    cases += [["kernels", "--kernel", k, "--T", T, "--points", "3"] for T in ("0", "-1", "2") for k in ("bar", "tilde")]
+    cases += [["simulate", "--process", p, *_SIM, "--T", T] for T in ("0", "-1", "2") for p in ("zeta", "kappa")]
+    cases += [["simulate", "--process", p, *_SIM, "--sigma", "0"] for p in ("eta", "kappa")]
+    cases += [["simulate", "--process", "zeta", "--levy", "poisson", "--lam", lam, *_SIM] for lam in ("0", "-1")]
+    for bad in ("rate-string", "no-payoff", "probs-off", "negative-T"):
+        cases += [["price", "--model", bad, "--t", "0.5", "--x", "0.3"],
+                  ["option", "--model", bad, "--t", "0.5", "--K", "0.5"],
+                  _PSI + ["--model", bad],
+                  ["simulate", "--process", "eta", "--model", bad, *_SIM]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _table_cases(), ids=" ".join)
+def test_cli_table_exits_cleanly(tmp_path, capsys, argv):
+    # exit 0 with only finite numbers, 1 with a numerical failure or 2 with an
+    # error; nothing raises out of main, and a failed command writes no file
+    out = tmp_path / "out.csv"
+    if "--model" in argv:
+        i = argv.index("--model") + 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_TABLE_MODELS[argv[i]]))
+        argv = [*argv[:i], str(path), *argv[i + 1:]]
+    try:
+        rc = main(argv + ["-o", str(out)])
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    err = capsys.readouterr().err
+    if rc == 0:
+        values = [float(v) for row in _read(out)[2:] for v in row.split(",")]
+        assert values and np.all(np.isfinite(values))
+    else:
+        assert not out.exists()
+        assert {1: "numerical failure: ", 2: "error: "}[rc] in err

@@ -142,6 +142,21 @@ def test_posterior_tau_sign_changing_g_under_a_density():
     assert posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: r - mean - 1e-7) == pytest.approx(-1e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize("levy", [GAMMA, LevyLaw.poisson(1.0)], ids=["gamma", "poisson"])
+@pytest.mark.parametrize("law", [TAU_LATE, DefaultTimeLaw.exponential_conditioned(0.5, 1.0)],
+                         ids=["atoms", "exponential"])
+@pytest.mark.parametrize("g", [lambda r, h: h, lambda r, h: r, lambda r, h: 1.0], ids=["h", "r", "one"])
+def test_posterior_tau_payoff_takes_every_atom_in_one_survival_integral(levy, law, g):
+    # the one call over the atom axis gives each atom's integral bit for bit
+    m = _model(law=law, levy=levy, payoff=PayoffDistribution([0.0, 0.4, 1.0], [0.2, 0.3, 0.5]))
+    t, x, q = 0.5, 0.3, DEFAULT_QUADRATURE
+    support, probs = m.payoff.support, m.payoff.probs
+    den = sum(p * kern for p, kern in zip(probs, survival_kernel(m, t, x, support, q)))
+    num = sum(p * default_pricing._survival_integral(m, t, x, float(h), q, g, q.abs_tol * den)
+              for h, p in zip(support, probs))
+    assert posterior_tau_payoff(m, t, x, g) == num / den
+
+
 def test_bond_price_default_branches():
     m = _model()
     t = 0.75

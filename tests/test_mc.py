@@ -5,6 +5,7 @@ import pytest
 
 from levybridge import mc, sampling
 from levybridge.gaussian import cov_tilde
+from levybridge.grids import TimeGrid
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
 from levybridge.mc import (McReport, _make_report, conditional_histogram,
@@ -286,3 +287,19 @@ def test_oracles_when_no_sampled_path_survives_to_t():
     assert tower.estimate == h.mean() and tower.passed
     payoff = model.discount(0.0, 0.5) * np.maximum(model.discount(0.5) * h - 0.4, 0.0)
     assert option_mc(model, 0.5, 0.4, 2000, 43, 0.3).estimate == payoff.mean()
+
+
+@pytest.mark.parametrize("levy", [GAMMA, LevyLaw.poisson(1.0)], ids=["gamma", "poisson"])
+def test_defaulted_flag_is_the_samplers_default_index(levy):
+    # the flag comes from the default index, not from the values: the defaulted
+    # paths sit exactly on their payoff ray, and no surviving path comes within 1e-9 of it
+    model = MarketModel(1.0, 1.0, 0.5, RateCurve.flat(0.0), BINARY, levy,
+                        default_law=DefaultTimeLaw.exponential_conditioned(1.0, 1.0))
+    x, h, defaulted = mc._sample_observations(model, 0.5, 20_000, 47)
+    grid = TimeGrid.uniform(1.0, mc._ORACLE_STEPS)
+    j = grid.index_of(0.5)
+    _, tau_idx, _, _ = sampling.sample_kappa_batch(model, grid, 47, 20_000, 0, [j])
+    np.testing.assert_array_equal(defaulted, tau_idx <= j)
+    assert 0 < defaulted.sum() < defaulted.size
+    assert np.all(x[defaulted] == grid.points[j] * h[defaulted])
+    assert np.all(np.abs(x[~defaulted] - 0.5 * h[~defaulted]) > 1e-9)

@@ -199,6 +199,16 @@ def test_positive_part_integral():
     assert positive_part_integral(lambda x: 0.0 * x - 1.0, -1.0, 1.0, 1e-12, 1e-10) == 0.0
 
 
+def test_no_overflow_warning_on_finite_inputs():
+    # the square and the product of neighbouring values overflow to inf; the
+    # density is 0 there, and the kinks are found from signs (RuntimeWarning is an error here)
+    assert gauss_density(1.0, 1e200) == 0.0
+    assert gauss_density(np.array([0.5, 2.0]), -1e200, 1e200).tolist() == [0.0, 0.0]
+    assert positive_part_integral(lambda x: 1e300 * (np.sin(x) - 2.0), 0.0, 3.0, 1e-12, 1e-10) == 0.0
+    val = positive_part_integral(lambda x: 1e300 * np.sin(x), 0.0, 3.0 * np.pi, 1e-12, 1e-10)
+    assert val == pytest.approx(4e300, rel=1e-10)
+
+
 def test_gamma_law_time_below_1e_15():
     # X_a with a = 1e-16 is almost surely within 1e-12 of 0, so the integral is 1 to 1e-12
     assert integrate_levy(lambda y: np.exp(-y * y), GAMMA, 1e-16) == pytest.approx(1.0, abs=1e-12)

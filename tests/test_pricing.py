@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from levybridge import pricing
 from levybridge.laws import LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
-from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density, poisson_pmf
+from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density, integrate_levy, poisson_pmf
 from levybridge.pricing import (PriceQuote, bayes_posterior, binary_bond_price,
                                 bond_price, bridge_levy_density, gamma_closed_form_price,
                                 likelihood_q, option_value,
@@ -218,6 +219,20 @@ def test_psi_rejects_bad_order():
     for (t, u) in ((0.6, 0.3), (0.0, 0.5), (0.4, 1.0), (0.2, 0.2)):
         with pytest.raises(ValueError):
             transition_density_psi(m, t, u, 0.4, 0.1)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])
+@pytest.mark.parametrize("x", [-30.0, 1e200])
+def test_psi_raises_when_the_density_of_x_vanishes(monkeypatch, levy, x):
+    # 0/0 used to come back as nan; the denominator is checked before the nested numerator runs
+    m = _model(levy=levy)
+    calls = []
+    monkeypatch.setattr(pricing, "integrate_levy", lambda f, *a, **k: calls.append(f) or integrate_levy(f, *a, **k))
+    with pytest.raises(ArithmeticError, match="density of the observation vanished"):
+        transition_density_psi(m, 0.3, 0.6, x, np.array([0.0, 0.5]))
+    assert len(calls) == 1  # the denominator's integral only
+    with pytest.raises(ArithmeticError, match="posterior mass vanished"):
+        bond_price(m, 0.3, x)
 
 
 def test_psi_poisson_normalization_loose():

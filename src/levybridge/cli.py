@@ -16,7 +16,13 @@ from .model import MarketModel, RateCurve, model_from_json
 from .numerics import DEGENERATE, GAMMA, POISSON, QuadratureError, gamma_density, poisson_pmf
 from .sampling import PROCESS_SAMPLERS
 
-_MAX_TABLE_ROWS = 2_000_000  # of a ``density --which levy`` table, each built in one array call
+_MAX_TABLE_ROWS = 2_000_000  # rows (values, for simulate) of any table a command builds in memory
+
+
+def _require_table_size(what: str, size: float, unit: str = "rows") -> None:
+    """Raise ValueError, naming the options in what, when a table of size rows (or values) passes the cap."""
+    if size > _MAX_TABLE_ROWS:
+        raise ValueError(f"{what} asks for {size:.0f} {unit}, more than the cap of {_MAX_TABLE_ROWS}")
 
 
 def _fmt(v) -> str:
@@ -56,6 +62,7 @@ def _load_model(args) -> MarketModel:
 
 
 def _cmd_simulate(args) -> int:
+    _require_table_size(f"--paths {args.paths} with --steps {args.steps}", args.paths * (args.steps + 1), "values")
     # eta and kappa run to the model's maturity: with --model it sets T, not --T
     if args.process in ("eta", "kappa"):
         source = _load_model(args)
@@ -98,6 +105,7 @@ def _cmd_option(args) -> int:
 
 def _cmd_density(args) -> int:
     if args.which == "psi":
+        _require_table_size(f"--points {args.points}", args.points)
         model = _load_model(args)
         T = model.maturity
         if not 0.0 < args.t < args.u < T:  # before the default y range, which needs u < T
@@ -118,9 +126,8 @@ def _cmd_density(args) -> int:
         else:
             poisson = law.kind == POISSON
             n_rows = law.tail_quantile(args.t, 1e-12) + 1.0 if poisson else args.points
-            if n_rows > _MAX_TABLE_ROWS:
-                what = f"--t {args.t:g} with --lam {args.lam:g}" if poisson else f"--points {args.points}"
-                raise ValueError(f"{what} asks for {n_rows:.0f} rows, more than the cap of {_MAX_TABLE_ROWS}")
+            _require_table_size(f"--t {args.t:g} with --lam {args.lam:g}" if poisson else f"--points {args.points}",
+                                n_rows)
             ys = np.arange(n_rows) if poisson else np.linspace(1e-9, law.tail_quantile(args.t, 1e-12), n_rows)
             vals = poisson_pmf(args.t, law.rate, ys) if poisson else gamma_density(args.t, ys)
     header = ["y", "psi" if args.which == "psi" else "density"]
@@ -129,6 +136,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    _require_table_size(f"--points {args.points}", args.points ** 2)
     fn = {"bar": gaussian.cov_bar, "tilde": gaussian.cov_tilde}[args.kernel]
     ts = np.linspace(0.0, args.T, args.points)
     rows = [[float(s), float(t), fn(float(s), float(t), args.T)] for s in ts for t in ts]
@@ -179,17 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", "-o", default=None, help="output CSV path (default: stdout)")
 
+    def model_options(p):
+        """The options of _default_model, and --model, which replaces them."""
+        p.add_argument("--model", default=None, help="model JSON in place of the options below")
+        p.add_argument("--levy", choices=["gamma", "poisson", "none"], default="gamma")
+        p.add_argument("--lam", type=_finite_float, default=1.0, help="Poisson rate")
+        p.add_argument("--T", type=_finite_float, default=1.0)
+        p.add_argument("--sigma", type=_finite_float, default=1.0)
+        p.add_argument("--mu", type=_finite_float, default=1.0)
+
     p = sub.add_parser("simulate", help="sample paths to CSV")
     p.add_argument("--process", required=True,
                    choices=["brownian", "bridge", "bar-beta", "tilde-beta", "zeta", "eta", "kappa"])
-    p.add_argument("--levy", choices=["gamma", "poisson", "none"], default="gamma")
-    p.add_argument("--lam", type=_finite_float, default=1.0, help="Poisson rate")
-    p.add_argument("--T", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=_positive_int, default=256)
     p.add_argument("--paths", type=_positive_int, default=8)
-    p.add_argument("--sigma", type=_finite_float, default=1.0)
-    p.add_argument("--mu", type=_finite_float, default=1.0)
-    p.add_argument("--model", default=None, help="model JSON (eta/kappa payoff and default law)")
+    model_options(p)
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -209,12 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="tabulate the transition density or the noise marginal")
     p.add_argument("--which", choices=["psi", "levy"], default="psi")
-    p.add_argument("--model", default=None)
-    p.add_argument("--levy", choices=["gamma", "poisson", "none"], default="gamma")
-    p.add_argument("--lam", type=_finite_float, default=1.0)
-    p.add_argument("--T", type=_finite_float, default=1.0)
-    p.add_argument("--sigma", type=_finite_float, default=1.0)
-    p.add_argument("--mu", type=_finite_float, default=1.0)
+    model_options(p)
     p.add_argument("--t", type=_finite_float, default=0.3)
     p.add_argument("--u", type=_finite_float, default=0.6)
     p.add_argument("--x", type=_finite_float, default=0.0)

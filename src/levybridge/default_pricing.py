@@ -16,10 +16,8 @@ import numpy as np
 
 from .model import MarketModel
 from .numerics import DEFAULT_QUADRATURE, UNDERFLOW, Quadrature
-from .pricing import (_atom_axis, _require_binary, bayes_posterior, binary_from_ratio, bridge_levy_density,
-                      likelihood_ratio, option_integral, require_probability_vector)
-
-_RAY_TOL = 1e-9
+from .pricing import (_atom_axis, _match_atom, _require_binary, bayes_posterior, binary_from_ratio,
+                      bridge_levy_density, likelihood_ratio, option_integral, require_probability_vector)
 
 
 @dataclass(frozen=True)
@@ -38,13 +36,6 @@ class DefaultQuote:
 
     def __post_init__(self):
         require_probability_vector([w for _, _, w in self.posterior_joint])
-
-
-def _match_atom(model: MarketModel, t: float, x: float) -> int | None:
-    """Index of the payoff atom whose ray sigma*t*h, where a defaulted path stays, passes through x, if any."""
-    dist = np.abs(model.sigma * t * model.payoff.support - x)
-    i = int(np.argmin(dist))
-    return i if dist[i] <= _RAY_TOL * max(1.0, abs(model.sigma) * t) else None
 
 
 def _revealed_atom(model: MarketModel, t: float, x: float) -> int | None:

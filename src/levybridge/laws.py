@@ -12,6 +12,7 @@ from .numerics import (DEGENERATE, GAMMA, POISSON, QuadratureError,
                        integrate_panels)
 
 _PAYOFF_MASS_TOL = 1e-12
+_PAYOFF_SUM_TOL = 1e-9  # of the probabilities given to from_weights, before truncation
 _TAU_MASS_TOL = 1e-10
 # a density's first panels shrink by this ratio toward the lower limit of its
 # integral, down to _GRADING ** (_GRADED_PANELS - 1) of the range
@@ -115,16 +116,20 @@ class PayoffDistribution:
     def from_weights(cls, support, probs) -> "PayoffDistribution":
         """Truncate a (possibly countable) list of atoms to prior mass 1 - 1e-12.
 
-        Atoms are kept in the given order until the cumulative mass reaches
-        that coverage; the retained probabilities are renormalized.
+        The given probabilities must sum to 1 within 1e-9, or ValueError is
+        raised: a list that sums to more, or to less, is a mistake, not a
+        truncation.  Atoms are kept in the given order until the cumulative
+        mass reaches that coverage; the retained probabilities are renormalized.
         """
         support = np.asarray(support, dtype=float)
         probs = np.asarray(probs, dtype=float)
+        total = probs.sum()
+        if not abs(total - 1.0) <= _PAYOFF_SUM_TOL:  # a nan sum fails too
+            raise ValueError(f"payoff probabilities must sum to 1, got {float(total)!r}")
         keep = np.searchsorted(np.cumsum(probs), 1.0 - 1e-12) + 1
         keep = min(keep, probs.size)
         p = probs[:keep]
-        with np.errstate(invalid="ignore"):  # an infinite probability gives nan weights, which are rejected
-            return cls(support[:keep], p / p.sum())
+        return cls(support[:keep], p / p.sum())
 
     @property
     def n_atoms(self) -> int:

@@ -77,12 +77,10 @@ def gamma_density(t: float, x):
     if t <= 0.0:
         raise ValueError("shape must be positive")
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return float(np.exp((t - 1.0) * np.log(x) - x - gammaln(t))) if x > 0.0 else 0.0
     out = np.zeros_like(x)
     pos = x > 0.0
     out[pos] = np.exp((t - 1.0) * np.log(x[pos]) - x[pos] - gammaln(t))
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def poisson_pmf(t: float, lam: float, n) -> float:

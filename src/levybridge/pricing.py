@@ -22,7 +22,7 @@ from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
 _WEIGHT_TOL = 1e-10
 _OPTION_ABS_TOL, _OPTION_REL_TOL = 1e-10, 1e-8
 _PRICE_SLACK = 1e-9
-_ENDPOINT_SNAP = 1e-9
+_RAY_TOL = 1e-9
 _SERIES_TOL = 1e-16
 _VANISHED = "posterior mass vanished: observation too deep in the tails"
 _BRACKET_WIDTH = 12.0
@@ -136,12 +136,22 @@ def posterior_mean(model: MarketModel, t: float, x,
     return float(mean) if mean.ndim == 0 else mean
 
 
+def _match_atom(model: MarketModel, t: float, x: float) -> int | None:
+    """Index of the payoff atom whose ray sigma*t*h passes through x within 1e-9 * max(1, |sigma| t), if any.
+
+    The one on-ray test of both models: the payoff is revealed at T, or at default.
+    """
+    dist = np.abs(model.sigma * t * model.payoff.support - x)
+    i = int(np.argmin(dist))
+    return i if dist[i] <= _RAY_TOL * max(1.0, abs(model.sigma) * t) else None
+
+
 def bond_price(model: MarketModel, t: float, x: float,
                q: Quadrature = DEFAULT_QUADRATURE) -> PriceQuote:
     """Discounted posterior mean of the payoff.
 
-    The endpoints are defined by continuity: the prior mean at t = 0, and the
-    revealed payoff read off x = sigma*T*h at t = T (nearest-atom snap).
+    The endpoints are defined by continuity: the prior mean at t = 0, and at
+    t = T the payoff whose ray x lies on (``_match_atom``); ValueError off the rays.
     """
     T = model.maturity
     support = model.payoff.support
@@ -149,9 +159,8 @@ def bond_price(model: MarketModel, t: float, x: float,
         posterior = tuple(zip(support.tolist(), model.payoff.probs.tolist()))
         return PriceQuote(t, x, model.discount(0.0) * model.payoff.mean(), posterior)
     if t == T:
-        target = x / (model.sigma * T)
-        i = int(np.argmin(np.abs(support - target)))
-        if abs(model.sigma * T * support[i] - x) > _ENDPOINT_SNAP * abs(model.sigma) * T:
+        i = _match_atom(model, T, x)
+        if i is None:
             raise ValueError("terminal observation does not match any payoff atom")
         posterior = tuple((float(hj), 1.0 if j == i else 0.0) for j, hj in enumerate(support))
         return PriceQuote(t, x, float(support[i]), posterior)

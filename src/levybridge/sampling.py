@@ -27,7 +27,7 @@ import threading
 
 import numpy as np
 
-from .grids import TimeGrid
+from .grids import _SYMMETRY_TOL, TimeGrid
 from .laws import DEGENERATE, GAMMA, POISSON, LevyLaw
 from .model import MarketModel
 
@@ -226,22 +226,18 @@ def bridge_values(grid: TimeGrid, w: np.ndarray, out: np.ndarray | None = None) 
     return np.subtract(w, (grid.points / grid.horizon) * w[..., -1:], out=out)
 
 
-def _pinned(grid: TimeGrid, w: np.ndarray, end: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """bridge(w) + (t/T) * end, composed in out (which may be w) with one scratch array."""
-    out = bridge_values(grid, w, out=out)
-    return np.add(out, (grid.points / grid.horizon) * end, out=out)
-
-
 def bar_beta_values(grid: TimeGrid, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _pinned(grid, w, b, out)
-
-
-def tilde_beta_values(grid: TimeGrid, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _pinned(grid, w, reverse_values(grid, b), out)
+    """The one pinned composition, bridge(w) + (t/T) * b, in out (which may be w) with one scratch array."""
+    out = bridge_values(grid, w, out=out)
+    return np.add(out, (grid.points / grid.horizon) * b, out=out)
 
 
 def zeta_values(grid: TimeGrid, w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _pinned(grid, w, reverse_values(grid, x), out)
+    """bar_beta_values pinned by x read as t -> T - t: zeta for a Levy x, tilde beta for a Brownian x."""
+    return bar_beta_values(grid, w, reverse_values(grid, x), out)
+
+
+tilde_beta_values = zeta_values
 
 
 def eta_values(grid: TimeGrid, sigma: float, h, zeta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -262,8 +258,12 @@ def kappa_values(grid: TimeGrid, sigma: float, mu: float, tau_idx, h,
     Levy drift; from tau onward the path equals sigma*t*h exactly.  The rows
     that share a default index i are composed together from the slices
     w[:, :i+1] and x[:, i:0:-1] and the row t[:i] / t[i].  out may be w.
+    x[:, i - j] is X at t_i - t_j only when all steps are equal, so a grid
+    whose steps differ by more than float dust raises ValueError.
     """
     t = grid.points
+    if np.ptp(grid.step_sizes()) > _SYMMETRY_TOL * max(grid.horizon, 1.0):
+        raise ValueError("kappa paths need a grid of equal steps")
     w = np.atleast_2d(w)
     x = np.atleast_2d(x)
     n, m = w.shape

@@ -271,6 +271,46 @@ def test_density_levy_table_over_the_row_cap_exits_2(tmp_path, capsys, argv, opt
     assert err.startswith("error: ") and option in err and "cap of 2000000" in err
 
 
+@pytest.mark.parametrize("argv, size, option", [
+    (["kernels", "--kernel", "bar", "--points", "32"], "1024 rows", "--points 32"),
+    (["density", "--which", "psi", "--points", "1001", "--model", "missing.json"], "1001 rows", "--points 1001"),
+    (["simulate", "--process", "kappa", "--paths", "10", "--steps", "100", "--model", "missing.json"],
+     "1010 values", "--paths 10 with --steps 100"),
+])
+def test_tables_over_the_cap_exit_2_before_anything_is_built(tmp_path, capsys, monkeypatch, argv, size, option):
+    # under a cap of 1000; the size is checked before the model file is read
+    monkeypatch.setattr(cli, "_MAX_TABLE_ROWS", 1000)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{option} asks for {size}, more than the cap of 1000" in err
+
+
+def test_tables_at_the_cap_are_written(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_TABLE_ROWS", 1000)
+    for argv in (["kernels", "--kernel", "bar", "--points", "31"],
+                 ["simulate", "--process", "zeta", "--paths", "10", "--steps", "99"]):
+        assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 0
+
+
+def test_kernels_of_1e10_rows_exit_2_at_once(tmp_path, capsys):
+    out = tmp_path / "big.csv"
+    assert main(["kernels", "--kernel", "bar", "--points", "100000", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "--points 100000 asks for 10000000000 rows, more than the cap of 2000000" in capsys.readouterr().err
+
+
+def test_price_with_probabilities_off_one_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"T": 1.0, "payoff": {"support": [0.0, 1.0], "probs": [0.5, 0.6]},
+                                "levy": {"kind": "gamma"}}))
+    out = tmp_path / "price.csv"
+    assert main(["price", "--model", str(path), "--t", "0.5", "--x", "0.3", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: payoff probabilities must sum to 1, got 1.1")
+
+
 def test_density_psi_vanished_density_of_x_exits_1(tmp_path, capsys):
     out = tmp_path / "psi.csv"
     assert main(["density", "--which", "psi", "--t", "0.3", "--u", "0.6", "--x", "-30", "--points", "3",

@@ -86,6 +86,17 @@ def test_payoff_truncation_renormalizes():
     assert p.n_atoms >= 40  # keeps everything needed for 1 - 1e-12 coverage
 
 
+def test_payoff_probabilities_must_sum_to_one():
+    # checked before truncation: [0.5, 0.6] is not renormalized to 0.4545/0.5455
+    for probs in ([0.5, 0.6], [0.5, 0.4], [0.5, np.nan], [np.inf, 0.5], [0.5, 0.5 + 2e-9]):
+        with pytest.raises(ValueError, match="payoff probabilities must sum to 1, got"):
+            PayoffDistribution.from_weights([0.0, 1.0], probs)
+    with pytest.raises(ValueError, match="got 1.1$"):
+        PayoffDistribution.from_weights([0.0, 1.0], [0.5, 0.6])
+    p = PayoffDistribution.from_weights([0.0, 1.0], [0.5, 0.5 + 5e-10])  # within 1e-9
+    assert p.probs.tolist() == [0.5 / (1.0 + 5e-10), (0.5 + 5e-10) / (1.0 + 5e-10)]
+
+
 def test_payoff_sampling_deterministic():
     p = PayoffDistribution.binary(0.0, 1.0, 0.5)
     a = p.sample(rng_for(5), 100)

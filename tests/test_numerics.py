@@ -28,6 +28,8 @@ def test_gamma_density():
     np.testing.assert_allclose(gamma_density(1.0, xs), np.exp(-xs), atol=1e-15)
     assert gamma_density(0.5, -1.0) == 0.0
     assert gamma_density(0.5, 0.0) == 0.0
+    one = gamma_density(1.7, 2.5)
+    assert type(one) is float and one == gamma_density(1.7, np.array([2.5]))[0]
     mean = integrate_levy(lambda y: y, GAMMA, 0.7)
     assert mean == pytest.approx(0.7, rel=1e-8)
 

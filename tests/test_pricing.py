@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levybridge import pricing
+from levybridge import default_pricing, pricing
 from levybridge.laws import LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
 from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density, integrate_levy, poisson_pmf
@@ -95,6 +95,17 @@ def test_bond_price_endpoints_and_bounds():
     quote = bond_price(m, 0.5, 0.7)
     assert 0.0 <= quote.price <= 1.0
     assert sum(w for _, w in quote.posterior) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_terminal_observation_snaps_to_a_ray_within_the_ray_tolerance():
+    # at T the payoff is revealed by the one on-ray test of both models, 1e-9 * max(1, |sigma| T)
+    m = _model(sigma=0.01)
+    quote = bond_price(m, 1.0, 0.01 + 5e-10)
+    assert quote.price == 1.0 and quote.posterior == ((0.0, 0.0), (1.0, 1.0))
+    assert bond_price(m, 1.0, -5e-10).price == 0.0
+    with pytest.raises(ValueError, match="terminal observation does not match any payoff atom"):
+        bond_price(m, 1.0, 0.37)
+    assert default_pricing._match_atom is pricing._match_atom
 
 
 def test_bond_price_tower_sanity_mc():

@@ -119,6 +119,7 @@ def test_bar_beta_endpoints_and_variance():
 
 
 def test_tilde_beta_double_pinning_and_moments():
+    assert sampling.tilde_beta_values is sampling.zeta_values  # the one reversed pin
     g = TimeGrid.uniform(1.0, 8)
     w, b = sampling.brownian_batch(g, 20, 1)[0], sampling.brownian_batch(g, 21, 1)[0]
     til = sampling.tilde_beta_values(g, w, b)
@@ -191,6 +192,25 @@ def test_kappa_ray_property():
         assert kap[j] == model.sigma * g.points[j] * 1.0
     assert kap[0] == 0.0
     assert kap[k_idx] == model.sigma * g.points[k_idx]
+
+
+def test_kappa_needs_equal_steps():
+    # kappa reads X at t_i - t_j as x[:, i - j], which holds only on equal steps; on
+    # [0, 0.1, 0.9, 1] (symmetric, so zeta and eta accept it) it would be silently wrong
+    g = TimeGrid(np.array([0.0, 0.1, 0.9, 1.0]))
+    model = _model(default_law=DefaultTimeLaw.atoms([0.9, 1.0], [0.5, 0.5], horizon=1.0))
+    w, x = sampling.brownian_batch(g, 1, 2), sampling.levy_batch(GAMMA, g, 2, 2)
+    with pytest.raises(ValueError, match="equal steps"):
+        sampling.kappa_values(g, 1.0, 0.5, [2, 3], [0.0, 1.0], w, x)
+    with pytest.raises(ValueError, match="equal steps"):
+        sample_kappa_batch(model, g, 3, 10)
+    sampling.sample_eta_batch(model, g, 3, 10)
+    for T, steps in ((1.0, 256), (3.7, 37), (1e-3, 7), (250.0, 1000)):  # linspace's float dust passes
+        u = TimeGrid.uniform(T, steps)
+        law = DefaultTimeLaw.atoms([u.points[steps // 2]], [1.0], horizon=T)
+        m = MarketModel(T, 1.0, 1.0, RateCurve.flat(0.0), PayoffDistribution.binary(0.0, 1.0, 0.5), GAMMA, law)
+        vals, tau_idx, h, _ = sample_kappa_batch(m, u, 4, 3)
+        np.testing.assert_array_equal(vals[:, -1], T * h)
 
 
 def test_kappa_mu_zero_tau_T_reduces_to_bridge_noise():

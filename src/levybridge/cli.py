@@ -197,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=_finite_float, default=1.0)
 
     p = sub.add_parser("simulate", help="sample paths to CSV")
-    p.add_argument("--process", required=True,
-                   choices=["brownian", "bridge", "bar-beta", "tilde-beta", "zeta", "eta", "kappa"])
+    p.add_argument("--process", required=True, choices=list(PROCESS_SAMPLERS))
     p.add_argument("--steps", type=_positive_int, default=256)
     p.add_argument("--paths", type=_positive_int, default=8)
     model_options(p)

@@ -116,16 +116,20 @@ class PayoffDistribution:
     def from_weights(cls, support, probs) -> "PayoffDistribution":
         """Truncate a (possibly countable) list of atoms to prior mass 1 - 1e-12.
 
-        The given probabilities must sum to 1 within 1e-9, or ValueError is
-        raised: a list that sums to more, or to less, is a mistake, not a
-        truncation.  Atoms are kept in the given order until the cumulative
-        mass reaches that coverage; the retained probabilities are renormalized.
+        The given probabilities must lie in [0, 1] and sum to 1 within 1e-9,
+        or ValueError is raised: a list that sums to more, or to less, is a
+        mistake, not a truncation.  Atoms are kept in the given order until
+        the cumulative mass reaches that coverage; the retained probabilities
+        are renormalized.
         """
         support = np.asarray(support, dtype=float)
         probs = np.asarray(probs, dtype=float)
         total = probs.sum()
         if not abs(total - 1.0) <= _PAYOFF_SUM_TOL:  # a nan sum fails too
             raise ValueError(f"payoff probabilities must sum to 1, got {float(total)!r}")
+        outside = probs[(probs < 0.0) | (probs > 1.0)]
+        if outside.size:  # truncation could drop it unseen: [1.5, -0.5] sums to 1
+            raise ValueError(f"payoff probabilities must lie in [0, 1], got {float(outside[0])!r}")
         keep = np.searchsorted(np.cumsum(probs), 1.0 - 1e-12) + 1
         keep = min(keep, probs.size)
         p = probs[:keep]

@@ -7,8 +7,8 @@ the threads only reorder work, never results.  Batches run on
 (BRIDGE_THREADS when set, else the usable CPUs; 1 runs them serially), and
 each batch of a two-stream process draws its second stream on the one helper
 thread its sampler starts for it.  Every oracle asks the sampler for the
-columns it reads only, so a batch of a two-stream process holds O(batch size)
-values.  Oracles read the formula under test only to obtain the target.
+columns it reads only, so a batch of any process holds O(batch size) values.
+Oracles read the formula under test only to obtain the target.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def grid_builder(process: str, T: float, steps: int, levy: LevyLaw | None = None
     grid = TimeGrid.uniform(T, steps)
 
     def build(seed, n, batch, times):
-        # the two-stream samplers keep only these columns, so a batch holds O(n) values
+        # every sampler keeps only these columns, so a batch holds O(n) values
         return sample(grid, levy, seed, n, batch, [grid.index_of(ti) for ti in times])
 
     return build

@@ -460,8 +460,8 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
     rel_tol * |value| + abs_tol.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
-        raise ValueError("time must be positive")
+    if not np.all((t > 0.0) & (t < np.inf)):
+        raise ValueError("time must be positive and finite")
     if points is not None:
         points = np.asarray(points, dtype=float)
         points = points.reshape(1) if points.ndim == 0 else points
@@ -494,8 +494,12 @@ def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=(
     each argument at their elements as a column, then bisects the panels of
     the elements whose error estimate is above a quarter of
     rel_tol * |value| + abs_tol; an element leaves the store with its result
-    once it has converged.  Raises QuadratureError above the full amount.
+    once it has converged.  Raises QuadratureError above the full amount, and
+    ValueError unless the break points are finite and do not decrease.
     """
+    breaks = np.asarray(breaks, dtype=float)
+    if not (np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) >= 0.0)):
+        raise ValueError("break points must be finite and must not decrease")
     q = Quadrature(abs_tol, rel_tol)
 
     def goal(val, mag):

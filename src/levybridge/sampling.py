@@ -5,18 +5,18 @@ carry the exact joint law of the processes at the grid points regardless of
 step size.  Every sampler is a pure function of (grid, law, seed); batches
 drawn from distinct streams of one root seed are independent.
 
-A batch's two large streams (W under key (batch, 0), the Levy or second
-Brownian path under key (batch, 1)) are drawn in lockstep, _BLOCK_ROWS rows
-at a time.  W goes into the output rows, the second stream into a small ring
-of reused block buffers, and the calling thread composes each block as soon
-as both streams hold it, so no full-size second-stream array exists; a
-caller that keeps only some grid columns gets n rows of those.  One thread
-rule decides who draws the second stream: when ``worker_count()`` is above
-1, each two-stream call starts one helper thread that draws it and ends
-before the call returns; at 1 the calling thread draws both streams, and
-everything is serial.  Each thread keeps its block buffers for its next
-batch.  Philox is counter-based, so a stream's values depend only on its
-(seed, key), never on when or where it is drawn.
+Every sampler draws its paths through one block loop, _BLOCK_ROWS rows at a
+time, and composes each block in place as soon as it is drawn, so a caller
+that keeps only some grid columns gets n rows of those, for every process, and
+no full-size path array exists.  A batch's two large streams (W under key
+(batch, 0), the Levy or second Brownian path under key (batch, 1)) are drawn
+in lockstep: W into the output rows, the second stream into a small ring of
+reused block buffers.  One thread rule decides who draws the second stream:
+when ``worker_count()`` is above 1, each two-stream call starts one helper
+thread that draws it and ends before the call returns; at 1 the calling
+thread draws both streams, and everything is serial.  Each thread keeps its
+block buffers for its next batch.  Philox is counter-based, so a stream's
+values depend only on its (seed, key), never on when or where it is drawn.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -77,6 +78,9 @@ def _block_buffers(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
     ends and are faulted in again by the next, whose cost varies with the
     machine's memory traffic; kept, a batch's block buffers cost nothing after
     the thread's first batch.  The buffers grow to the largest block asked for.
+    The i-th array is a view of the thread's i-th kept buffer, so callers
+    active at once take distinct positions: _paths 0 and 1, the second-stream
+    hand-off of _draw_streams 2 onward.
     """
     size = max(k * m for k, m in shapes)
     kept = getattr(_kept, "buffers", [])
@@ -106,12 +110,25 @@ def _fill(block: np.ndarray, draw, inc: np.ndarray) -> np.ndarray:
     return block
 
 
-def _paths(grid: TimeGrid, n: int, draw) -> np.ndarray:
-    """Paths from 0 with draw's increments, _BLOCK_ROWS rows at a time."""
-    out = np.empty((n, grid.n_points))
-    inc = np.empty((min(n, _BLOCK_ROWS), grid.n_steps))
+def _paths(grid: TimeGrid, n: int, draw, compose=None, columns=None) -> np.ndarray:
+    """Paths from 0 with draw's increments, _BLOCK_ROWS rows at a time; the columns asked for.
+
+    Each block is filled into the output rows or, when only some columns are
+    kept, into a reused scratch block.  compose(rows, a), when given,
+    composes block a, the paths of rows, in place; then the block's columns
+    are kept.  The other blocks are kept buffers, so only the output grows
+    with n.
+    """
+    m = grid.n_points
+    k = min(n, _BLOCK_ROWS)
+    inc, scratch = _block_buffers([(k, m - 1), (k, m)])
+    out = np.empty((n, m) if columns is None else (n, len(columns)))
     for rows in _blocks(n):
-        _fill(out[rows], draw, inc)
+        a = _fill(out[rows] if columns is None else scratch[:rows.stop - rows.start], draw, inc)
+        if compose is not None:
+            compose(rows, a)
+        if columns is not None:
+            out[rows] = a[:, columns]
     return out
 
 
@@ -154,26 +171,21 @@ def levy_batch(law: LevyLaw, grid: TimeGrid, seed: int, n: int, key=None) -> np.
 def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) -> np.ndarray:
     """Paths of two independent streams, composed block by block; the columns asked for.
 
-    first and second are increment draws as for _fill.  Both streams are drawn
-    in lockstep, _BLOCK_ROWS rows at a time: the first into the output rows
-    (or, when only some columns are kept, into one reused scratch block), the
-    second into one of _RING reused block buffers.  compose(rows, a, b)
-    composes a block in place into a, the first stream's rows, from b, the
-    second's, as soon as both streams hold it; then the block's columns are
-    kept.  When worker_count() is above 1, one helper thread started for this
-    call draws the second stream's blocks in order and hands each over through
-    the ready queue, while this thread draws the first stream and composes,
-    then returns the buffer through the free queue; at 1, this thread draws
-    both.  The block buffers are those kept for the calling thread
-    (_block_buffers), so none but the output grows with n; the helper thread
-    has ended when this returns, also when it raises.
+    first and second are increment draws as for _fill.  _paths draws the
+    first stream; its compose step takes the second stream's next block, from
+    one of _RING reused block buffers, and compose(rows, a, b) composes it in
+    place into a, the first stream's rows, from b, the second's.  When
+    worker_count() is above 1, one helper thread started for this call draws
+    the second stream's blocks in order and hands each over through the ready
+    queue, and this thread returns the buffer through the free queue once it
+    is composed; at 1, this thread draws both.  The helper thread has ended
+    when this returns, also when it raises.
     """
     m = grid.n_points
     k = min(n, _BLOCK_ROWS)
     blocks = _blocks(n)
     helped = worker_count() > 1
-    inc, second_inc, scratch, *ring = _block_buffers([(k, m - 1)] * 2 + [(k, m)] * (1 + _RING))
-    out = np.empty((n, m) if columns is None else (n, len(columns)))
+    second_inc, *ring = _block_buffers([(k, m - 1), (k, m), (k, m - 1)] + [(k, m)] * _RING)[2:]
     free, ready = queue.SimpleQueue(), queue.SimpleQueue()
     for b in ring:
         free.put(b)
@@ -195,24 +207,22 @@ def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) 
         except BaseException as exc:  # raised again on the calling thread
             ready.put(exc)
 
+    def compose_next(rows: slice, a: np.ndarray):
+        b = ready.get() if helped else draw_second(rows)
+        if isinstance(b, BaseException):
+            raise b
+        compose(rows, a, b[:len(a)])
+        free.put(b)
+
     if helped:
         thread = threading.Thread(target=helper, name="levybridge-stream", daemon=True)
         thread.start()
     try:
-        for rows in blocks:
-            a = _fill(out[rows] if columns is None else scratch[:rows.stop - rows.start], first, inc)
-            b = ready.get() if helped else draw_second(rows)
-            if isinstance(b, BaseException):
-                raise b
-            compose(rows, a, b[:len(a)])
-            if columns is not None:
-                out[rows] = a[:, columns]
-            free.put(b)
+        return _paths(grid, n, first, compose_next, columns)
     finally:
         if helped:
             free.put(None)  # ends the helper's draw, also when this thread stopped early
             thread.join()
-    return out
 
 
 def reverse_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
@@ -286,19 +296,16 @@ def kappa_values(grid: TimeGrid, sigma: float, mu: float, tau_idx, h,
 
 # -- model-driven batch sampling ----------------------------------------------
 
-# The two-stream samplers compose their paths block by block in place into the
-# W block as the Levy (or second Brownian) stream delivers its blocks, so a
-# composition's temporaries are block-sized whatever the batch size.
-
-def _brownian_and_levy(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int, compose,
-                       columns=None) -> np.ndarray:
-    return _draw_streams(grid, n, _brownian_draw(grid, seed, (batch, 0)), _levy_draw(law, grid, seed, (batch, 1)),
+def _pinned_pair(grid: TimeGrid, seed: int, n: int, batch: int, second, compose, columns=None) -> np.ndarray:
+    """W under key (batch, 0) composed with second(grid, seed, key)'s draw under key (batch, 1), by _draw_streams."""
+    return _draw_streams(grid, n, _brownian_draw(grid, seed, (batch, 0)), second(grid, seed, (batch, 1)),
                          compose, columns)
 
 
 def sample_zeta_batch(grid: TimeGrid, law: LevyLaw, seed: int, n: int, batch: int = 0, columns=None) -> np.ndarray:
     """Batch of zeta paths; columns is as for sample_eta_batch."""
-    return _brownian_and_levy(grid, law, seed, n, batch, lambda rows, w, x: zeta_values(grid, w, x, out=w), columns)
+    return _pinned_pair(grid, seed, n, batch, partial(_levy_draw, law),
+                        lambda rows, w, x: zeta_values(grid, w, x, out=w), columns)
 
 
 def sample_eta_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0, columns=None):
@@ -312,7 +319,7 @@ def sample_eta_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batc
     def compose(rows, w, x):
         eta_values(grid, model.sigma, h[rows], zeta_values(grid, w, x, out=w), out=w)
 
-    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose, columns), h
+    return _pinned_pair(grid, seed, n, batch, partial(_levy_draw, model.levy), compose, columns), h
 
 
 def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, batch: int = 0, columns=None):
@@ -332,40 +339,30 @@ def sample_kappa_batch(model: MarketModel, grid: TimeGrid, seed: int, n: int, ba
     def compose(rows, w, x):
         kappa_values(grid, model.sigma, model.levy_drift_scale, tau_idx[rows], h[rows], w, x, out=w)
 
-    return _brownian_and_levy(grid, model.levy, seed, n, batch, compose, columns), tau_idx, h, tau
+    return (_pinned_pair(grid, seed, n, batch, partial(_levy_draw, model.levy), compose, columns),
+            tau_idx, h, tau)
 
 
 # -- one table of process samplers --------------------------------------------
 
-def _brownian_pair(grid: TimeGrid, seed: int, n: int, batch: int, pinned, columns=None) -> np.ndarray:
-    """pinned(grid, w, b, out) of two Brownian batches, composed in place into w; columns as for _draw_streams."""
-    return _draw_streams(grid, n, _brownian_draw(grid, seed, (batch, 0)), _brownian_draw(grid, seed, (batch, 1)),
-                         lambda rows, w, b: pinned(grid, w, b, out=w), columns)
-
-
-def _in_columns(values: np.ndarray, columns) -> np.ndarray:
-    """The full paths' values in the grid columns asked for (all of them when None)."""
-    return values if columns is None else values[:, columns]
-
-
 # Batch sampler per process name: (grid, source, seed, n, batch, columns=None)
 # -> path values, paths as rows, in the grid columns asked for (all of them by
 # default).  source is the noise law for zeta and levy-reversed, the market
-# model for eta and kappa, and unused by the Brownian processes.  The
-# two-stream samplers keep only those columns as they compose each block; the
-# others draw full paths and slice.
+# model for eta and kappa, and unused by the Brownian processes.  Each sampler
+# composes its paths block by block in place and keeps only those columns.
 PROCESS_SAMPLERS = {
-    "brownian": lambda grid, source, seed, n, batch, columns=None: _in_columns(
-        brownian_batch(grid, seed, n, key=(batch, 0)), columns),
-    "bridge": lambda grid, source, seed, n, batch, columns=None: _in_columns(bridge_values(
-        grid, brownian_batch(grid, seed, n, key=(batch, 0))), columns),
-    "bar-beta": lambda grid, source, seed, n, batch, columns=None: _brownian_pair(
-        grid, seed, n, batch, bar_beta_values, columns),
-    "tilde-beta": lambda grid, source, seed, n, batch, columns=None: _brownian_pair(
-        grid, seed, n, batch, tilde_beta_values, columns),
+    "brownian": lambda grid, source, seed, n, batch, columns=None: _paths(
+        grid, n, _brownian_draw(grid, seed, (batch, 0)), columns=columns),
+    "bridge": lambda grid, source, seed, n, batch, columns=None: _paths(
+        grid, n, _brownian_draw(grid, seed, (batch, 0)), lambda rows, w: bridge_values(grid, w, out=w), columns),
+    "bar-beta": lambda grid, source, seed, n, batch, columns=None: _pinned_pair(
+        grid, seed, n, batch, _brownian_draw, lambda rows, w, b: bar_beta_values(grid, w, b, out=w), columns),
+    "tilde-beta": lambda grid, source, seed, n, batch, columns=None: _pinned_pair(
+        grid, seed, n, batch, _brownian_draw, lambda rows, w, b: tilde_beta_values(grid, w, b, out=w), columns),
     "zeta": lambda grid, law, seed, n, batch, columns=None: sample_zeta_batch(grid, law, seed, n, batch, columns),
-    "levy-reversed": lambda grid, law, seed, n, batch, columns=None: _in_columns(reverse_values(
-        grid, levy_batch(law, grid, seed, n, key=(batch, 1))), columns),
+    "levy-reversed": lambda grid, law, seed, n, batch, columns=None: _paths(  # copyto buffers the overlapping view
+        grid, n, _levy_draw(law, grid, seed, (batch, 1)), lambda rows, x: np.copyto(x, reverse_values(grid, x)),
+        columns),
     "eta": lambda grid, model, seed, n, batch, columns=None: sample_eta_batch(
         model, grid, seed, n, batch, columns)[0],
     "kappa": lambda grid, model, seed, n, batch, columns=None: sample_kappa_batch(

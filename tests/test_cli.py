@@ -152,7 +152,7 @@ def test_price_command_vanished_posterior_exits_1(tmp_path, capsys):
     assert "posterior mass vanished" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("process", ["bar-beta", "tilde-beta", "zeta"])
+@pytest.mark.parametrize("process", ["brownian", "bridge", "bar-beta", "tilde-beta", "zeta", "levy-reversed"])
 def test_simulate_matches_mc_builder(tmp_path, process):
     # cli simulate and the Monte Carlo oracles draw from one process table
     out = tmp_path / "paths.csv"
@@ -309,6 +309,17 @@ def test_price_with_probabilities_off_one_exits_2(tmp_path, capsys):
     assert main(["price", "--model", str(path), "--t", "0.5", "--x", "0.3", "-o", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: payoff probabilities must sum to 1, got 1.1")
+
+
+def test_price_with_a_negative_probability_exits_2(tmp_path, capsys):
+    # the probabilities sum to 1, and truncation would keep only the first atom
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"T": 1.0, "payoff": {"support": [0.0, 1.0], "probs": [1.5, -0.5]},
+                                "levy": {"kind": "gamma"}}))
+    out = tmp_path / "price.csv"
+    assert main(["price", "--model", str(path), "--t", "0.5", "--x", "0.3", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: payoff probabilities must lie in [0, 1], got 1.5")
 
 
 def test_density_psi_vanished_density_of_x_exits_1(tmp_path, capsys):

@@ -93,6 +93,10 @@ def test_payoff_probabilities_must_sum_to_one():
             PayoffDistribution.from_weights([0.0, 1.0], probs)
     with pytest.raises(ValueError, match="got 1.1$"):
         PayoffDistribution.from_weights([0.0, 1.0], [0.5, 0.6])
+    for probs, bad in (([1.5, -0.5], "1.5"), ([0.0, 1.0, -0.25, 0.25], "-0.25")):
+        # sums to 1, and truncation alone would drop the bad atom
+        with pytest.raises(ValueError, match=f"payoff probabilities must lie in \\[0, 1\\], got {bad}$"):
+            PayoffDistribution.from_weights(np.arange(len(probs), dtype=float), probs)
     p = PayoffDistribution.from_weights([0.0, 1.0], [0.5, 0.5 + 5e-10])  # within 1e-9
     assert p.probs.tolist() == [0.5 / (1.0 + 5e-10), (0.5 + 5e-10) / (1.0 + 5e-10)]
 

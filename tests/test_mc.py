@@ -268,10 +268,10 @@ def _builder_peak(process, steps, n):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("process", ["zeta", "tilde-beta"])
-def test_two_stream_builder_memory_does_not_grow_with_the_steps(process):
-    # the two-stream samplers keep only the columns asked for as they compose
-    # each block; n full paths of 200 steps would add n * 160 * 8 bytes
+@pytest.mark.parametrize("process", ["brownian", "bridge", "bar-beta", "tilde-beta", "zeta", "levy-reversed"])
+def test_grid_builder_memory_does_not_grow_with_the_steps(process):
+    # every sampler keeps only the columns asked for as it composes each
+    # block; n full paths of 200 steps would add n * 160 * 8 bytes
     n = 24 * sampling._BLOCK_ROWS
     growth = _builder_peak(process, 200, n) - _builder_peak(process, 40, n)
     assert growth <= 10 * sampling._BLOCK_ROWS * (200 - 40) * 8

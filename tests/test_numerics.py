@@ -65,8 +65,10 @@ def test_integrate_levy_second_moment_gamma():
 
 
 def test_integrate_levy_rejects_bad_time():
-    with pytest.raises(ValueError):
-        integrate_levy(lambda y: 1.0, GAMMA, 0.0)
+    for law in (GAMMA, POIS):
+        for t in (0.0, np.inf, np.array([0.5, np.inf])):
+            with pytest.raises(ValueError, match="time must be positive and finite"):
+                integrate_levy(lambda y: 1.0, law, t)
 
 
 def test_quadrature_spec_validation():
@@ -193,6 +195,12 @@ def test_integrate_panels_one_integral_per_element():
                                   args=(centres[i, j], widths[j]))
         assert isinstance(single, float)
         assert v == single
+
+
+@pytest.mark.parametrize("breaks", [[0.0, np.nan], [1.0, 0.0], [0.0, 1.0, np.nan], [0.0, np.inf], [0.0, 2.0, 1.0]])
+def test_integrate_panels_rejects_break_points_it_cannot_integrate(breaks):
+    with pytest.raises(ValueError, match="break points must be finite and must not decrease"):
+        integrate_panels(lambda x: np.ones_like(x), breaks, 1e-12, 1e-10)
 
 
 def test_positive_part_integral():

@@ -107,9 +107,9 @@ def _survival_integral(model: MarketModel, t: float, x, h, q: Quadrature, g=None
     """Integral over default times r in (t, T] of g(r, h) times the bridge-plus-Levy density at x; g = 1 if None.
 
     x and h are per-element arguments of the default-time integral; g gets
-    h as an array that broadcasts with r.  The likelihood (g None) is
-    resolved relative to itself down to underflow, as integrate_levy
-    resolves the density's own integral.
+    h as an array that broadcasts with r.  A density's integral runs at
+    Quadrature(abs_tol, q.rel_tol): the likelihood (g None) is resolved
+    relative to itself down to underflow, as integrate_levy resolves it.
     """
     law = _require_default_law(model)
     k = model.levy_drift_scale * t
@@ -118,7 +118,8 @@ def _survival_integral(model: MarketModel, t: float, x, h, q: Quadrature, g=None
         dens = bridge_levy_density(model, t, x, s, h, k, q)
         return dens if g is None else g(t + s, h) * dens
 
-    return law.integrate(f, t, model.maturity, rel_tol=q.rel_tol, abs_tol=abs_tol, args=(x, h))
+    tau_q = None if law.is_discrete else Quadrature(abs_tol, q.rel_tol)
+    return law.integrate(f, t, model.maturity, tau_q, args=(x, h))
 
 
 def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
@@ -134,13 +135,15 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     atom that broadcasts with r: one default-time integral gives the
     numerator, as one gives the denominator.  The result is resolved to
     q.rel_tol relative plus q.abs_tol absolute: on the survival branch the
-    numerator's absolute tolerance is q.abs_tol times the posterior mass.
+    numerator's absolute tolerance is q.abs_tol times the posterior mass,
+    which a density law rejects where it underflows to 0.  A g whose
+    integral is not finite raises QuadratureError.
     """
     i = _revealed_atom(model, t, x)
     law = model.default_law
     if i is not None:
         h_i = float(model.payoff.support[i])
-        return law.integrate(lambda r: g(r, h_i), 0.0, t, rel_tol=q.rel_tol, abs_tol=q.abs_tol) / law.cdf(t)
+        return law.integrate(lambda r: g(r, h_i), 0.0, t, q) / law.cdf(t)
     support, probs = model.payoff.support, model.payoff.probs
     den = sum(p * kern for p, kern in zip(probs, survival_kernel(model, t, x, support, q)))
     if den <= 0.0 or not np.isfinite(den):

@@ -56,12 +56,14 @@ class TimeGrid:
     def index_of(self, t: float) -> int:
         """Index of the grid point equal to t, within a relative tolerance."""
         k = int(np.argmin(np.abs(self.points - t)))
-        if abs(self.points[k] - t) > 1e-9 * max(self.horizon, 1.0):
+        if not abs(self.points[k] - t) <= 1e-9 * max(self.horizon, 1.0):  # a nan fails too
             raise ValueError(f"t={t} is not a grid point")
         return k
 
     def snap_below(self, t) -> np.ndarray | int:
-        """Index of the largest grid point <= t, tolerating float dust (vectorized)."""
+        """Index of the largest grid point <= t, tolerating float dust (vectorized); ValueError on a nan."""
+        if np.any(np.isnan(t)):
+            raise ValueError("a nan time has no grid point")
         shifted = np.asarray(t, dtype=float) + 1e-9 * max(self.horizon, 1.0)
         idx = np.searchsorted(self.points, shifted, side="right") - 1
         idx = np.clip(idx, 0, self.n_steps)

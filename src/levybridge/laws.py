@@ -8,12 +8,12 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .numerics import (DEGENERATE, GAMMA, POISSON, QuadratureError,
-                       integrate_panels)
+from .numerics import DEGENERATE, GAMMA, POISSON, Quadrature, QuadratureError, integrate_panels
 
 _PAYOFF_MASS_TOL = 1e-12
 _PAYOFF_SUM_TOL = 1e-9  # of the probabilities given to from_weights, before truncation
 _TAU_MASS_TOL = 1e-10
+_TAU_QUADRATURE = Quadrature(abs_tol=1e-13, rel_tol=1e-10)
 # a density's first panels shrink by this ratio toward the lower limit of its
 # integral, down to _GRADING ** (_GRADED_PANELS - 1) of the range
 _GRADING, _GRADED_PANELS = 0.5, 13
@@ -25,7 +25,7 @@ class LevyLaw:
 
     ``gamma`` is the standard gamma subordinator (X_t ~ Gamma(shape=t, scale=1)),
     ``poisson`` a Poisson process with the given rate.  ``none`` is the degenerate
-    point mass at zero used for reduction tests (no Levy noise at all).
+    point mass at zero used for reduction tests (no Levy noise).  Only ``poisson`` takes a rate.
     """
 
     kind: str
@@ -34,12 +34,13 @@ class LevyLaw:
     def __post_init__(self):
         if self.kind not in (GAMMA, POISSON, DEGENERATE):
             raise ValueError(f"unknown Levy law kind {self.kind!r}")
-        if not np.isfinite(self.rate) or (self.kind == POISSON and self.rate <= 0.0):
-            raise ValueError("Levy rate must be finite, and positive for the Poisson law")
+        if not (0.0 < self.rate < np.inf if self.kind == POISSON else self.rate == 1.0):
+            want = "positive and finite" if self.kind == POISSON else "1"
+            raise ValueError(f"the {self.kind} law's rate must be {want}, got {self.rate!r}")
 
     @classmethod
     def named(cls, kind: str, rate: float = 1.0) -> "LevyLaw":
-        """The law of a kind name: ``gamma``, ``poisson`` with intensity ``rate``, or ``none``."""
+        """The law of a kind name: ``gamma``, ``poisson`` with intensity ``rate``, or ``none`` (rate ignored)."""
         return cls(kind, rate if kind == POISSON else 1.0)
 
     @classmethod
@@ -56,11 +57,7 @@ class LevyLaw:
 
     def mean(self, t: float) -> float:
         """Mean of X_t, which for each of these laws equals its variance."""
-        if self.kind == GAMMA:
-            return t
-        if self.kind == POISSON:
-            return self.rate * t
-        return 0.0
+        return 0.0 if self.kind == DEGENERATE else self.rate * t
 
     variance = mean
 
@@ -263,7 +260,7 @@ class DefaultTimeLaw:
         return float(np.clip(self.integrate(lambda r: 1.0, 0.0, t), 0.0, 1.0))
 
     def integrate(self, f: Callable[..., np.ndarray], lo: float, hi: float,
-                  rel_tol: float = 1e-10, abs_tol: float = 1e-13, args=()):
+                  q: Quadrature | None = _TAU_QUADRATURE, args=()):
         """Integral of f(r - lo, *args) against P_tau(dr) over the interval (lo, hi], for every element.
 
         f is called with an array of times after lo, r - lo, on its last
@@ -273,13 +270,13 @@ class DefaultTimeLaw:
         the result has their broadcast shape (a float when there are none),
         and is zero when (lo, hi] is empty or holds no atom.  An atom law
         calls f once, on its atoms in (lo, hi] and each argument with a
-        trailing axis of length 1.  A density is integrated by the adaptive Gauss-Kronrod
-        panel rule of ``integrate_panels``, which calls f only on the panels
-        and elements it still refines, at a quarter of the tolerance,
-        starting from panels split at its jumps and graded geometrically
-        toward lo, where integrands like the survival kernel's degenerate as
-        the law time r - lo vanishes; QuadratureError is raised when an
-        element's error estimate exceeds rel_tol * |value| + abs_tol.
+        trailing axis of length 1, and raises QuadratureError when a sum is
+        not finite; it reads no tolerance, so q may be None.  A density is
+        integrated to the tolerance q by the adaptive Gauss-Kronrod panel
+        rule of ``integrate_panels``, which calls f only on the panels and
+        elements it still refines, starting from panels split at its jumps
+        and graded geometrically toward lo, where integrands like the
+        survival kernel's degenerate as the law time r - lo vanishes.
         """
         hi = min(hi, self.horizon)
         sel = (self.atom_times > lo) & (self.atom_times <= hi) if self.is_discrete else None
@@ -289,11 +286,13 @@ class DefaultTimeLaw:
         if self.is_discrete:
             cols = (np.asarray(a, dtype=float)[..., None] for a in args)
             total = (f(self.atom_times[sel] - lo, *cols) * self.atom_weights[sel]).sum(axis=-1)
+            if not np.all(np.isfinite(total)):
+                raise QuadratureError("default-time sum over the atoms is not finite")
             return float(total) if np.ndim(total) == 0 else total
         span = hi - lo
         graded = span * _GRADING ** np.arange(1.0, _GRADED_PANELS)
         breaks = np.unique([0.0, *graded, *(b - lo for b in self.jumps if lo < b < hi), span])
-        return integrate_panels(lambda s, *a: f(s, *a) * self.pdf(lo + s), breaks, abs_tol, rel_tol, args)
+        return integrate_panels(lambda s, *a: f(s, *a) * self.pdf(lo + s), breaks, q, args)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.is_discrete:

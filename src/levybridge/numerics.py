@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -26,6 +26,7 @@ _EPS = np.finfo(float).eps
 # elements of the largest node array handed to an integrand in one call
 _MAX_TEMPORARY = 1 << 18
 _MAX_ROUNDS = 60
+_MAX_SUBDIVISIONS = 2000  # an element holding this many panels splits no more; QUADPACK's `limit` too
 # integrals of |f| below this are resolved relative to it, not to themselves,
 # as underflow takes their relative precision
 UNDERFLOW = 1e-290
@@ -46,18 +47,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Tolerance policy for adaptive quadrature and series truncation."""
+    """The tolerance of every integral and series: error estimate <= rel_tol * |value| + abs_tol."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):  # a nan fails too
+            raise ValueError("tolerances must be positive and finite")
 
     def scaled(self, factor: float) -> "Quadrature":
-        return replace(self, abs_tol=self.abs_tol * factor, rel_tol=self.rel_tol * factor)
+        return Quadrature(self.abs_tol * factor, self.rel_tol * factor)
 
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -303,7 +303,7 @@ def _evaluate(f, p: _Panels, shape: tuple, args=None) -> _Panels:
     return p
 
 
-def _refine(f, p: _Panels, shape: tuple, goal, q: Quadrature, args=None):
+def _refine(f, p: _Panels, shape: tuple, goal, args=None):
     """Bisect panels until every element's error estimate meets goal(val, mag).
 
     p holds every element's first panels, each element of ``shape`` its own.
@@ -322,7 +322,7 @@ def _refine(f, p: _Panels, shape: tuple, goal, q: Quadrature, args=None):
     for round_ in range(_MAX_ROUNDS + 1):
         v, e, m = p.totals(n)
         target, count = goal(v, m), np.bincount(p.elem, minlength=n)
-        need = (e > target) & (count < q.max_subdivisions) & (round_ < _MAX_ROUNDS)
+        need = (e > target) & (count < _MAX_SUBDIVISIONS) & (round_ < _MAX_ROUNDS)
         mark = need[p.elem] & (p.err > target[p.elem] / count[p.elem]) & p.divisible()
         stays = np.zeros(n, dtype=bool)
         stays[p.elem[mark]] = True
@@ -374,7 +374,7 @@ def _gamma_panels(t: np.ndarray, points, shape: tuple) -> _Panels:
                         np.concatenate([np.zeros_like(edges), edges[..., -1:]], axis=-1))
 
 
-def _poisson_sum(f, mu, shape: tuple, points, q: Quadrature):
+def _poisson_sum(f, mu, shape: tuple, points, goal):
     """Lattice sum over a window per element that starts at the pmf bulk and grows past the summand's peak.
 
     The elements have shape ``shape``; mu, the pmf's mean, broadcasts to it.
@@ -385,7 +385,7 @@ def _poisson_sum(f, mu, shape: tuple, points, q: Quadrature):
     while it has seen only zeros, its pmf has not underflowed and it ends
     before the farthest finite break point.  Past the peak the terms shrink
     at least geometrically with the ratio of the last two, and the window
-    doubles until that tail bound meets the relative goal.  So the window
+    doubles until that tail bound meets goal(sum, sum of |terms|).  So it
     does not grow with the break points' distance unless it holds nothing
     but zeros, and not past the pmf's underflow even then, nor past
     ``_MAX_LATTICE``.  Sums add the sums of ``_BLOCK``-point blocks aligned
@@ -422,7 +422,7 @@ def _poisson_sum(f, mu, shape: tuple, points, q: Quadrature):
             rho = end / prev
             tail = np.where(end == 0.0, 0.0, np.where(rho < 1.0, end * rho / (1.0 - rho), np.inf))
         unseen = (mag == 0.0) & (stop < reach) & (pmf(stop[..., None] - 1.0)[..., 0] > 0.0)
-        grow = ((tail > REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)) | unseen) & (stop <= _MAX_LATTICE)
+        grow = ((tail > goal(total, mag)) | unseen) & (stop <= _MAX_LATTICE)
         if not np.any(grow):
             return total, np.maximum(tail, 50.0 * _EPS * mag)  # as for the panels, a roundoff floor
         done, stop = stop, np.where(grow, 2.0 * stop, stop)
@@ -448,16 +448,16 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
     origin, 7/15-point Gauss-Kronrod panels split at the break points and at
     the law's own bulk, and a mapped tail.  The panels of every element live
     in one flat store of (element, panel) entries.  Each round bisects the
-    panels of the elements whose error estimate is above a quarter of
-    rel_tol times the integral of |f|, and an element leaves the store with
-    its result once it has converged.  Each round calls f once (more only
-    past a cap on the temporary) with a node array of the elements' shape:
-    each element's new nodes side by side, and a point of the law's support,
-    of no weight, in the slots an element does not use.  Poisson integrals
-    sum a lattice window per element from the pmf bulk past the summand's
+    panels of the elements whose error estimate is above the goal, a quarter
+    of q.rel_tol times the integral of |f| down to underflow, and an element
+    leaves the store with its result once it has converged.  Each round
+    calls f once (more only past a cap on the temporary) with a node array
+    of the elements' shape: each element's new nodes side by side, and a
+    point of the law's support, of no weight, in the slots an element does
+    not use.  Poisson integrals sum a lattice window per element from the pmf bulk past the summand's
     peak, grown until a geometric tail bound meets the same goal.  Raises
     QuadratureError when an element's error estimate exceeds
-    rel_tol * |value| + abs_tol.
+    q.rel_tol * |value| + q.abs_tol.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((t > 0.0) & (t < np.inf)):
@@ -473,16 +473,16 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
         return REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)
 
     if law.kind == GAMMA:
-        val, err = _refine(f, _gamma_panels(t, points, shape), shape, goal, q)
+        val, err = _refine(f, _gamma_panels(t, points, shape), shape, goal)
     elif law.kind == POISSON:
-        val, err = _poisson_sum(f, law.rate * t, shape, points, q)
+        val, err = _poisson_sum(f, law.rate * t, shape, points, goal)
     else:  # pragma: no cover
         raise ValueError(law.kind)
     _check(val, err, q, "levy integral")
     return _result(val)
 
 
-def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=()):
+def integrate_panels(f: Callable, breaks, q: Quadrature, args=()):
     """Integral of f(x, *args) over [breaks[0], breaks[-1]] by adaptive Gauss-Kronrod panels, for every element.
 
     ``args`` are arrays of per-element arguments that broadcast together;
@@ -492,18 +492,17 @@ def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=(
     panels live in one flat store of (element, panel) entries.  Each round,
     the first included, calls f with the entries' nodes as rows of 15 and
     each argument at their elements as a column, then bisects the panels of
-    the elements whose error estimate is above a quarter of
-    rel_tol * |value| + abs_tol; an element leaves the store with its result
-    once it has converged.  Raises QuadratureError above the full amount, and
-    ValueError unless the break points are finite and do not decrease.
+    the elements whose error estimate is above the goal, a quarter of
+    q.rel_tol * |value| + q.abs_tol; an element leaves the store with its
+    result once it has converged.  Raises QuadratureError above the full
+    amount, and ValueError unless the break points are finite and ascend.
     """
     breaks = np.asarray(breaks, dtype=float)
     if not (np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) >= 0.0)):
         raise ValueError("break points must be finite and must not decrease")
-    q = Quadrature(abs_tol, rel_tol)
 
     def goal(val, mag):
-        return REQUEST_MARGIN * (rel_tol * np.abs(val) + abs_tol)
+        return REQUEST_MARGIN * (q.rel_tol * np.abs(val) + q.abs_tol)
 
     def values(x, *a):  # one value per element and node, however few of them f's value depends on
         shape = np.broadcast_shapes(x.shape, *(b.shape for b in a))
@@ -513,20 +512,20 @@ def integrate_panels(f: Callable, breaks, abs_tol: float, rel_tol: float, args=(
     shape = np.broadcast_shapes(*(a.shape for a in args))
     lo, hi = (np.broadcast_to(b, shape + b.shape) for b in (breaks[:-1], breaks[1:]))
     panels = _Panels.live(None, np.zeros(shape, dtype=int), _LINE, lo, hi, 0.0)
-    val, err = _refine(values, panels, shape, goal, q, tuple(np.broadcast_to(a, shape).ravel() for a in args))
+    val, err = _refine(values, panels, shape, goal, tuple(np.broadcast_to(a, shape).ravel() for a in args))
     _check(val, err, q, "panel integral")
     return _result(val)
 
 
-def positive_part_integral(g: Callable, lo: float, hi: float, abs_tol: float, rel_tol: float,
-                           points=()) -> float:
+def positive_part_integral(g: Callable, lo: float, hi: float, q: Quadrature, points=()) -> float:
     """Integral of max(g, 0) over [lo, hi], for g that maps an array of points to values.
 
     Kinks are located by a 201-point scan in one call of g and polished by
     root finding; with the known kinks of g in ``points`` they become break
-    points of the panel rule, every gap starting as four panels, which calls
-    g as ``integrate_panels`` calls its integrand.  The root finder reads g
-    at its bracket ends from the scan, which equals g's scalar calls there.
+    points of the panel rule to the tolerance q, every gap starting as four
+    panels, which calls g as ``integrate_panels`` calls its integrand.  The
+    root finder reads g at its bracket ends from the scan, which equals g's
+    scalar calls there.
     """
     xs = np.linspace(lo, hi, 201)
     vals = np.broadcast_to(g(xs), xs.shape)
@@ -540,7 +539,7 @@ def positive_part_integral(g: Callable, lo: float, hi: float, abs_tol: float, re
     kinks = [optimize.brentq(g_at, xs[i], xs[i + 1]) for i in change]
     breaks = np.unique([lo, *kinks, *(p for p in points if lo < p < hi), hi])
     grid = np.concatenate([np.linspace(a, b, 5)[:-1] for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
-    return integrate_panels(lambda x: np.maximum(g(x), 0.0), grid, abs_tol, rel_tol)
+    return integrate_panels(lambda x: np.maximum(g(x), 0.0), grid, q)
 
 
 def power_gauss_integral(nu: float, beta: float, alpha: float,
@@ -592,20 +591,16 @@ def parabolic_cylinder_log_D(order: float, z: float,
     def bulk(y):
         return np.exp(-0.5 * y * y - z * y - shift)
 
-    ea = REQUEST_MARGIN * q.abs_tol
-    er = REQUEST_MARGIN * q.rel_tol
-    head, e1 = integrate.quad(bulk, 0.0, 1.0, weight="alg", wvar=(nu - 1.0, 0.0),
-                              epsabs=ea, epsrel=er, limit=q.max_subdivisions)
+    tol = dict(epsabs=REQUEST_MARGIN * q.abs_tol, epsrel=REQUEST_MARGIN * q.rel_tol, limit=_MAX_SUBDIVISIONS)
+    head, e1 = integrate.quad(bulk, 0.0, 1.0, weight="alg", wvar=(nu - 1.0, 0.0), **tol)
 
     def tail_f(y):
         return np.exp((nu - 1.0) * np.log(y) - 0.5 * y * y - z * y - shift)
 
     # put the interior maximum inside a finite panel, as a break point of it
     top = 4.0 * max(1.0, peak) + 10.0
-    mid, e2 = integrate.quad(tail_f, 1.0, top, points=[peak] if peak > 1.0 else None,
-                             epsabs=ea, epsrel=er, limit=q.max_subdivisions)
-    far, e3 = integrate.quad(tail_f, top, np.inf, epsabs=ea, epsrel=er, limit=q.max_subdivisions)
+    mid, e2 = integrate.quad(tail_f, 1.0, top, points=[peak] if peak > 1.0 else None, **tol)
+    far, e3 = integrate.quad(tail_f, top, np.inf, **tol)
     val = head + mid + far
-    if e1 + e2 + e3 > q.rel_tol * abs(val) + q.abs_tol:
-        raise QuadratureError(f"power-Gauss integral error {e1 + e2 + e3:.3e} exceeds tolerance")
+    _check(val, e1 + e2 + e3, q, "power-Gauss integral")
     return float(-z * z / 4.0 - gammaln(nu) + shift + np.log(val))

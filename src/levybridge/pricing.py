@@ -20,7 +20,7 @@ from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
                        parabolic_cylinder_log_D, positive_part_integral)
 
 _WEIGHT_TOL = 1e-10
-_OPTION_ABS_TOL, _OPTION_REL_TOL = 1e-10, 1e-8
+_OPTION_QUADRATURE = Quadrature(abs_tol=1e-10, rel_tol=1e-8)
 _PRICE_SLACK = 1e-9
 _RAY_TOL = 1e-9
 _SERIES_TOL = 1e-16
@@ -311,7 +311,7 @@ def option_integral(model: MarketModel, t: float, strike: float, kernel, k: floa
         return sum((p_tT * h - strike) * row * p for h, p, row in zip(support, probs, table))
 
     lo, hi = x_bracket(model, t, k)
-    return positive_part_integral(g, lo, hi, _OPTION_ABS_TOL, _OPTION_REL_TOL, kinks)
+    return positive_part_integral(g, lo, hi, _OPTION_QUADRATURE, kinks)
 
 
 def option_value(model: MarketModel, t: float, strike: float,

@@ -9,6 +9,9 @@ moves a CLI value by more shows up.  The table was generated before the panel
 engine moved to a flat store of live panels; the psi case at (t, u) =
 (0.1, 0.8) and the atom-default price case were added from the code before
 the payoff atoms and psi's y values became element axes of one engine call.
+The two uniform-default cases, whose integrals over the default time cross
+the law's jumps, were added from the code before every tolerance reached an
+integral as one Quadrature.
 Regenerate it only for a change that is meant to move the numbers, and say
 by how much.
 """
@@ -33,6 +36,10 @@ MODELS = {
                           "default_law": {"kind": "exponential", "rate": 0.5}},
     "exp-default-poisson": {**_BASE, "mu": 0.5, "levy": {"kind": "poisson", "lambda": 1.0},
                             "default_law": {"kind": "exponential", "rate": 0.5}},
+    "uniform-default-gamma": {**_BASE, "mu": 0.5, "levy": {"kind": "gamma"},
+                              "default_law": {"kind": "uniform", "lo": 0.2, "hi": 0.9}},
+    "uniform-default-poisson": {**_BASE, "mu": 0.5, "levy": {"kind": "poisson", "lambda": 1.0},
+                                "default_law": {"kind": "uniform", "lo": 0.2, "hi": 0.9}},
 }
 # (case name, model, arguments after the command's --model option)
 CASES = [
@@ -48,6 +55,8 @@ CASES = [
     ("density-psi-gamma-late", "gamma", ["density", "--which", "psi", "--t", "0.1", "--u", "0.8",
                                          "--x", "0.2", "--points", "5"]),
     ("price-atom-default", "atom-default", ["price", "--t", "0.5", "--x", "0.4"]),
+    ("price-uniform-default-gamma", "uniform-default-gamma", ["price", "--t", "0.5", "--x", "0.4"]),
+    ("option-uniform-default-poisson", "uniform-default-poisson", ["option", "--t", "0.5", "--K", "0.3"]),
 ]
 
 

@@ -279,6 +279,27 @@ def test_posterior_tau_revealed_branch_uses_caller_tolerance():
             posterior_tau_payoff(m, 0.5, x, lambda r, h: r, unreachable)
 
 
+@pytest.mark.parametrize("law, bad", [(TAU_LATE, np.nan), (TAU_LATE, np.inf),
+                                      (DefaultTimeLaw.exponential_conditioned(0.5, 1.0), np.nan)],
+                         ids=["atoms-nan", "atoms-inf", "exponential-nan"])
+def test_posterior_tau_payoff_raises_on_a_g_that_is_not_finite(law, bad):
+    def g(r, h):
+        return np.full(np.broadcast_shapes(np.shape(r), np.shape(h)), bad)
+
+    with pytest.raises(QuadratureError):
+        posterior_tau_payoff(_model(law=law), 0.5, 0.3, g)
+
+
+def test_posterior_tau_numerator_tolerance_that_underflows():
+    # q.abs_tol times the posterior mass is 0.0: an atom sum reads no tolerance, a density rejects it
+    q = Quadrature(abs_tol=5e-324)
+    m = _model()
+    assert posterior_tau_payoff(m, 0.5, -1.0, lambda r, h: h, q) == posterior_tau_payoff(m, 0.5, -1.0, lambda r, h: h)
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        posterior_tau_payoff(_model(law=DefaultTimeLaw.exponential_conditioned(0.5, 1.0)), 0.5, 0.3,
+                             lambda r, h: h, q)
+
+
 def _reference_survival_kernel(model, t, x, h):
     """Nested scipy quad over the default time, around the noise-law integral (a direct sum for Poisson)."""
     law, k, d = model.default_law, model.levy_drift_scale * t, x - model.sigma * t * h

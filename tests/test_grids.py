@@ -44,3 +44,10 @@ def test_index_and_snapping():
     np.testing.assert_array_equal(g.snap_below([0.05, 0.7, 1.0]), [0, 7, 10])
     np.testing.assert_array_equal(g.snap_below(g.points), np.arange(11))
 
+
+
+@pytest.mark.parametrize("lookup, t", [("index_of", np.nan), ("snap_below", np.nan),
+                                       ("snap_below", np.array([0.3, np.nan]))])
+def test_grid_lookups_reject_nan(lookup, t):
+    with pytest.raises(ValueError):
+        getattr(TimeGrid.uniform(1.0, 10), lookup)(t)

@@ -8,6 +8,7 @@ from scipy import integrate
 
 import levybridge
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution, QuadratureError
+from levybridge.numerics import Quadrature
 from levybridge.sampling import rng_for
 
 
@@ -20,6 +21,15 @@ def test_levy_law_validation():
     assert LevyLaw.poisson(2.0).variance(0.5) == 1.0
     assert LevyLaw.degenerate().mean(1.0) == 0.0
     assert LevyLaw.standard_gamma().tail_quantile(0.5) > 10.0
+
+
+@pytest.mark.parametrize("kind", ["gamma", "none"])
+def test_levy_laws_without_a_rate_reject_one(kind):
+    for rate in (3.0, 0.5, np.nan):
+        with pytest.raises(ValueError, match="law's rate must be 1"):
+            LevyLaw(kind, rate)
+    # the CLI passes its one intensity option to every kind
+    assert LevyLaw.named(kind, 3.0) == LevyLaw(kind)
 
 
 # the tails the pricers (default), the CLI and the acceptance tests pass
@@ -166,7 +176,7 @@ def test_default_law_integral_raises_when_tolerance_unreachable():
 def test_default_law_integral_over_uniform_jumps():
     law = DefaultTimeLaw.uniform(0.3, 0.7, horizon=1.0)
     assert law.jumps == (0.3, 0.7)
-    assert law.integrate(lambda r: r, 0.0, 1.0, rel_tol=1e-13, abs_tol=1e-15) == pytest.approx(0.5, rel=1e-13)
+    assert law.integrate(lambda r: r, 0.0, 1.0, Quadrature(abs_tol=1e-15, rel_tol=1e-13)) == pytest.approx(0.5, rel=1e-13)
     atoms = DefaultTimeLaw.atoms([0.2, 0.6], [0.5, 0.5])
     # one element per argument value
     np.testing.assert_array_equal(atoms.integrate(lambda r, c: r * c, 0.0, 1.0, args=(np.arange(3.0),)), [0.0, 0.4, 0.8])

@@ -78,6 +78,13 @@ def test_quadrature_spec_validation():
     assert q.rel_tol == pytest.approx(0.5e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+def test_quadrature_rejects_tolerances_that_are_not_finite(field, bad):
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        Quadrature(**{field: bad})
+
+
 def test_parabolic_cylinder_order_zero():
     for z in np.linspace(-3.0, 3.0, 13):
         assert parabolic_cylinder_D(0.0, z) == pytest.approx(np.exp(-z * z / 4.0), abs=1e-16)
@@ -132,7 +139,7 @@ def test_poisson_series_tail_rule():
 
 
 def test_integrate_levy_unreachable_tolerance_raises():
-    q = Quadrature(abs_tol=1e-300, rel_tol=1e-18, max_subdivisions=40)
+    q = Quadrature(abs_tol=1e-300, rel_tol=1e-18)
     for law in (GAMMA, POIS):
         with pytest.raises(QuadratureError):
             integrate_levy(lambda y: np.exp(-y), law, 0.5, q)
@@ -188,10 +195,11 @@ def test_integrate_levy_rejects_undeclared_elements(law):
 def test_integrate_panels_one_integral_per_element():
     centres, widths = np.array([[-1.0, 0.5, 2.0], [3.5, 0.0, -4.0]]), np.array([0.02, 0.7, 3.0])
     breaks = np.array([-6.0, -1.0, 0.0, 2.0, 6.0])
-    vals = integrate_panels(lambda x, c, w: gauss_density(w, x, c), breaks, 1e-13, 1e-10, args=(centres, widths))
+    vals = integrate_panels(lambda x, c, w: gauss_density(w, x, c), breaks, Quadrature(1e-13, 1e-10),
+                            args=(centres, widths))
     assert vals.shape == centres.shape
     for (i, j), v in np.ndenumerate(vals):
-        single = integrate_panels(lambda x, c, w: gauss_density(w, x, c), breaks, 1e-13, 1e-10,
+        single = integrate_panels(lambda x, c, w: gauss_density(w, x, c), breaks, Quadrature(1e-13, 1e-10),
                                   args=(centres[i, j], widths[j]))
         assert isinstance(single, float)
         assert v == single
@@ -200,13 +208,13 @@ def test_integrate_panels_one_integral_per_element():
 @pytest.mark.parametrize("breaks", [[0.0, np.nan], [1.0, 0.0], [0.0, 1.0, np.nan], [0.0, np.inf], [0.0, 2.0, 1.0]])
 def test_integrate_panels_rejects_break_points_it_cannot_integrate(breaks):
     with pytest.raises(ValueError, match="break points must be finite and must not decrease"):
-        integrate_panels(lambda x: np.ones_like(x), breaks, 1e-12, 1e-10)
+        integrate_panels(lambda x: np.ones_like(x), breaks, Quadrature(1e-12, 1e-10))
 
 
 def test_positive_part_integral():
-    val = positive_part_integral(lambda x: np.sin(x), 0.0, 3.0 * np.pi, 1e-12, 1e-10)
+    val = positive_part_integral(lambda x: np.sin(x), 0.0, 3.0 * np.pi, Quadrature(1e-12, 1e-10))
     assert val == pytest.approx(4.0, rel=1e-10)
-    assert positive_part_integral(lambda x: 0.0 * x - 1.0, -1.0, 1.0, 1e-12, 1e-10) == 0.0
+    assert positive_part_integral(lambda x: 0.0 * x - 1.0, -1.0, 1.0, Quadrature(1e-12, 1e-10)) == 0.0
 
 
 def test_no_overflow_warning_on_finite_inputs():
@@ -214,8 +222,8 @@ def test_no_overflow_warning_on_finite_inputs():
     # density is 0 there, and the kinks are found from signs (RuntimeWarning is an error here)
     assert gauss_density(1.0, 1e200) == 0.0
     assert gauss_density(np.array([0.5, 2.0]), -1e200, 1e200).tolist() == [0.0, 0.0]
-    assert positive_part_integral(lambda x: 1e300 * (np.sin(x) - 2.0), 0.0, 3.0, 1e-12, 1e-10) == 0.0
-    val = positive_part_integral(lambda x: 1e300 * np.sin(x), 0.0, 3.0 * np.pi, 1e-12, 1e-10)
+    assert positive_part_integral(lambda x: 1e300 * (np.sin(x) - 2.0), 0.0, 3.0, Quadrature(1e-12, 1e-10)) == 0.0
+    val = positive_part_integral(lambda x: 1e300 * np.sin(x), 0.0, 3.0 * np.pi, Quadrature(1e-12, 1e-10))
     assert val == pytest.approx(4e300, rel=1e-10)
 
 

@@ -61,11 +61,11 @@ def default_indicator(model: MarketModel, t: float, x: float) -> bool:
 
     The event {tau <= t} coincides with the observation lying on one of the
     payoff rays; off the rays the noise law is continuous, so false positives
-    have probability zero.
+    have probability zero.  It raises as _revealed_atom does: ValueError
+    without a default law or unless 0 < t < T, ArithmeticError on an
+    observation the law rules out.
     """
-    if t <= 0.0:
-        raise ValueError("need t > 0")
-    return _match_atom(model, t, x) is not None
+    return _revealed_atom(model, t, x) is not None
 
 
 def likelihood_q_kappa(model: MarketModel, t: float, x: float, r: float, h: float,

@@ -206,13 +206,13 @@ class DefaultTimeLaw:
         """Exp(rate) conditioned on landing in (0, horizon]."""
         if not (np.isfinite(rate) and rate > 0.0):
             raise ValueError("rate must be positive and finite")
-        norm = 1.0 - np.exp(-rate * horizon)
+        norm = -np.expm1(-rate * horizon)  # 1 - exp(-rate * horizon), without cancellation at small rates
 
         def pdf(r):
             return rate * np.exp(-rate * r) / norm
 
         def cdf(t):
-            return float(np.clip((1.0 - np.exp(-rate * min(t, horizon))) / norm, 0.0, 1.0)) if t > 0 else 0.0
+            return float(np.clip(-np.expm1(-rate * min(t, horizon)) / norm, 0.0, 1.0)) if t > 0 else 0.0
 
         def ppf(u):
             return -np.log1p(-np.asarray(u) * norm) / rate

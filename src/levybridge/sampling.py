@@ -12,8 +12,8 @@ no full-size path array exists.  A batch's two large streams (W under key
 (batch, 0), the Levy or second Brownian path under key (batch, 1)) are drawn
 in lockstep: W into the output rows, the second stream into a small ring of
 reused block buffers.  One thread rule decides who draws the second stream:
-when ``worker_count()`` is above 1, each two-stream call starts one helper
-thread that draws it and ends before the call returns; at 1 the calling
+when ``worker_count()`` is above 1, each two-stream call hands its draws to a
+one-worker executor that is joined before the call returns; at 1 the calling
 thread draws both streams, and everything is serial.  Each thread keeps its
 block buffers for its next batch.  Philox is counter-based, so a stream's
 values depend only on its (seed, key), never on when or where it is drawn.
@@ -22,8 +22,8 @@ values depend only on its (seed, key), never on when or where it is drawn.
 from __future__ import annotations
 
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -168,61 +168,48 @@ def levy_batch(law: LevyLaw, grid: TimeGrid, seed: int, n: int, key=None) -> np.
     return _paths(grid, n, _levy_draw(law, grid, seed, key))
 
 
+def _name_helper():
+    threading.current_thread().name = "levybridge-stream"
+
+
 def _draw_streams(grid: TimeGrid, n: int, first, second, compose, columns=None) -> np.ndarray:
     """Paths of two independent streams, composed block by block; the columns asked for.
 
     first and second are increment draws as for _fill.  _paths draws the
-    first stream; its compose step takes the second stream's next block, from
-    one of _RING reused block buffers, and compose(rows, a, b) composes it in
-    place into a, the first stream's rows, from b, the second's.  When
-    worker_count() is above 1, one helper thread started for this call draws
-    the second stream's blocks in order and hands each over through the ready
-    queue, and this thread returns the buffer through the free queue once it
-    is composed; at 1, this thread draws both.  The helper thread has ended
-    when this returns, also when it raises.
+    first stream; its compose step takes the second stream's block i from
+    ring buffer i % _RING, and compose(rows, a, b) composes it in place into
+    a, the first stream's rows, from b, the second's.  When worker_count() is
+    above 1, a one-worker executor started for this call draws the second
+    stream at most _RING blocks ahead: the draw of block i + _RING is
+    submitted once block i is composed, into the buffer that block freed.
+    A draw error is raised again on this thread, and the helper thread has
+    been joined when this returns, also when it raises.  At 1, this thread
+    draws both streams.  Like the oracles' pool, the executor takes no work
+    once the interpreter has begun to exit, so a thread still sampling then
+    gets RuntimeError unless BRIDGE_THREADS is 1.
     """
     m = grid.n_points
     k = min(n, _BLOCK_ROWS)
     blocks = _blocks(n)
-    helped = worker_count() > 1
     second_inc, *ring = _block_buffers([(k, m - 1), (k, m), (k, m - 1)] + [(k, m)] * _RING)[2:]
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for b in ring:
-        free.put(b)
 
-    def draw_second(rows: slice) -> np.ndarray | None:
-        """A free buffer holding the second stream's rows; None once the calling thread has stopped."""
-        b = free.get()
-        if b is not None:
-            _fill(b[:rows.stop - rows.start], second, second_inc)
-        return b
+    def draw_second(i: int) -> np.ndarray:
+        rows = blocks[i]
+        return _fill(ring[i % _RING][:rows.stop - rows.start], second, second_inc)
 
-    def helper():
-        try:
-            for rows in blocks:
-                b = draw_second(rows)
-                if b is None:
-                    return
-                ready.put(b)
-        except BaseException as exc:  # raised again on the calling thread
-            ready.put(exc)
+    if worker_count() == 1:
+        return _paths(grid, n, first, lambda rows, a: compose(rows, a, draw_second(rows.start // _BLOCK_ROWS)),
+                      columns)
+    with ThreadPoolExecutor(1, initializer=_name_helper) as helper:
+        drawn = [helper.submit(draw_second, i) for i in range(min(_RING, len(blocks)))]
 
-    def compose_next(rows: slice, a: np.ndarray):
-        b = ready.get() if helped else draw_second(rows)
-        if isinstance(b, BaseException):
-            raise b
-        compose(rows, a, b[:len(a)])
-        free.put(b)
+        def compose_next(rows: slice, a: np.ndarray):
+            i = rows.start // _BLOCK_ROWS
+            compose(rows, a, drawn[i].result())
+            if i + _RING < len(blocks):
+                drawn.append(helper.submit(draw_second, i + _RING))
 
-    if helped:
-        thread = threading.Thread(target=helper, name="levybridge-stream", daemon=True)
-        thread.start()
-    try:
         return _paths(grid, n, first, compose_next, columns)
-    finally:
-        if helped:
-            free.put(None)  # ends the helper's draw, also when this thread stopped early
-            thread.join()
 
 
 def reverse_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:

@@ -12,8 +12,12 @@ the payoff atoms and psi's y values became element axes of one engine call.
 The two uniform-default cases, whose integrals over the default time cross
 the law's jumps, were added from the code before every tolerance reached an
 integral as one Quadrature.
-Regenerate it only for a change that is meant to move the numbers, and say
-by how much.
+
+It runs only the cases the table lacks and leaves every existing entry
+byte-identical: a rerun can move an existing entry in its last digits, inside
+the test's 1e-12, so a new case is added without rewriting the others.  For a
+change that is meant to move the numbers, delete the table, or the entries
+meant to move, rerun, and say by how much.
 """
 
 import json
@@ -76,13 +80,18 @@ def run_case(model: str, args: list, workdir: str) -> str:
 
 
 def main() -> int:
+    table = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            table = json.load(fh)
+    missing = [(name, model, args) for name, model, args in CASES if name not in table]
     with tempfile.TemporaryDirectory() as workdir:
-        table = {name: {"model": model, "args": args, "csv": run_case(model, args, workdir)}
-                 for name, model, args in CASES}
+        for name, model, args in missing:
+            table[name] = {"model": model, "args": args, "csv": run_case(model, args, workdir)}
     with open(OUT, "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(table)} cases to {OUT}", file=sys.stderr)
+    print(f"wrote {len(missing)} new cases, {len(table)} in all, to {OUT}", file=sys.stderr)
     return 0
 
 

@@ -8,8 +8,14 @@ CSV bytes it writes, config line included.  tests/test_cli.py runs the same
 cases and compares the digests, so any change of a seeded draw, of the draw
 order or of a path composition shows up as a changed digest.  The table was
 generated before the Brownian and Levy streams of a batch were drawn
-concurrently and before the paths were composed in place.  Regenerate it
-only for a change that is meant to move seeded output, and say why.
+concurrently and before the paths were composed in place.
+
+It computes only the cases the table lacks and leaves every existing entry
+byte-identical, so a new process or law is added from the code it should pin.
+The levy-reversed cases were added from the code before the second stream of
+a batch was drawn through an executor.  For a change that is meant to move
+seeded output, delete the table, or the entries meant to move, rerun, and say
+why.
 """
 
 import hashlib
@@ -22,7 +28,7 @@ from levybridge import cli
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "simulate_sha256.json")
 
-PROCESSES = ["brownian", "bridge", "bar-beta", "tilde-beta", "zeta", "eta", "kappa"]
+PROCESSES = ["brownian", "bridge", "bar-beta", "tilde-beta", "zeta", "levy-reversed", "eta", "kappa"]
 LEVY = ["gamma", "poisson", "none"]
 ARGS = ["--steps", "64", "--paths", "6", "--seed", "7"]
 
@@ -41,12 +47,21 @@ def digest(argv: list, workdir: str) -> str:
 
 
 def main() -> int:
+    table = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            kept = json.load(fh)
+        if kept["args"] != ARGS:
+            raise SystemExit(f"{OUT} was written with other arguments; delete it and rerun")
+        table = kept["sha256"]
+    missing = [(p, levy) for p in PROCESSES for levy in LEVY if f"{p}/{levy}" not in table]
     with tempfile.TemporaryDirectory() as workdir:
-        table = {f"{p}/{levy}": digest(case_argv(p, levy), workdir) for p in PROCESSES for levy in LEVY}
+        for p, levy in missing:
+            table[f"{p}/{levy}"] = digest(case_argv(p, levy), workdir)
     with open(OUT, "w") as fh:
         json.dump({"args": ARGS, "sha256": table}, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(table)} digests to {OUT}", file=sys.stderr)
+    print(f"wrote {len(missing)} new digests, {len(table)} in all, to {OUT}", file=sys.stderr)
     return 0
 
 

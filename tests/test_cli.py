@@ -109,7 +109,7 @@ def test_simulate_csv_bytes_match_digest_table(tmp_path, monkeypatch, threads):
         monkeypatch.setenv("BRIDGE_THREADS", threads)
     module, table = _simulate_table()
     assert table["args"] == module.ARGS
-    assert len(table["sha256"]) == len(module.PROCESSES) * len(module.LEVY) == 21
+    assert len(table["sha256"]) == len(module.PROCESSES) * len(module.LEVY) == 24
     for process in module.PROCESSES:
         for levy in module.LEVY:
             got = module.digest(module.case_argv(process, levy), str(tmp_path))

@@ -38,6 +38,19 @@ def test_default_indicator():
         default_indicator(m, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("model, t, error", [
+    (MarketModel(1.0, 1.0, 0.5, RateCurve.flat(0.0), BINARY, GAMMA), 0.5, ValueError),  # no default law
+    (_model(), 0.5, ArithmeticError),  # on the h = 1 ray, but P(tau <= 0.5) = 0
+    (_model(), 2.0, ValueError),  # past maturity
+], ids=["no-default-law", "ray-without-default-mass", "past-maturity"])
+def test_default_indicator_raises_where_the_pricers_do(model, t, error):
+    with pytest.raises(error):
+        default_indicator(model, t, 0.5)
+    if model.default_law is not None:
+        with pytest.raises(error):
+            bond_price_default(model, t, 0.5)
+
+
 def test_default_indicator_no_false_positives_mc():
     from levybridge.grids import TimeGrid
     from levybridge.sampling import sample_kappa_batch

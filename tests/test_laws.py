@@ -153,6 +153,14 @@ def test_default_law_exponential_conditioned():
     assert abs(emp - law.cdf(0.5)) < 4 * np.sqrt(0.25 / 50_000)
 
 
+def test_default_law_exponential_conditioned_at_a_small_rate():
+    # 1 - exp(-1e-7) loses half its digits to cancellation; the density mass
+    # check raised on it
+    law = DefaultTimeLaw.exponential_conditioned(1e-7, 1.0)
+    want = np.expm1(-5e-8) / np.expm1(-1e-7)
+    assert abs(law.cdf(0.5) - want) <= 1e-15 * want
+
+
 def test_default_law_uniform():
     law = DefaultTimeLaw.uniform(0.2, 0.6, horizon=1.0)
     assert law.cdf(0.4) == pytest.approx(0.5)

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -545,6 +546,46 @@ def test_the_second_stream_is_drawn_on_the_helper_thread(monkeypatch, threads, d
     monkeypatch.setattr(sampling, "_levy_draw", recording_levy_draw)
     sampling.sample_zeta_batch(TimeGrid.uniform(1.0, 8), GAMMA, 153, 2 * sampling._BLOCK_ROWS + 37)
     assert drawers == [drawer] * 3
+
+
+def test_the_helper_draws_into_a_ring_buffer_only_once_it_is_composed(monkeypatch):
+    # the draw of block i + _RING reuses block i's buffer, so it must start
+    # only after block i's composition has returned, however the threads run
+    g = TimeGrid.uniform(1.0, 8)
+    n = 5 * sampling._BLOCK_ROWS + 37
+    monkeypatch.setenv("BRIDGE_THREADS", "1")
+    ref = sampling.sample_zeta_batch(g, GAMMA, 154, n)
+    monkeypatch.setenv("BRIDGE_THREADS", "2")
+    events = []
+
+    def recording_levy_draw(*args):
+        draw = _LEVY_DRAW(*args)
+        drawn = []
+
+        def recorded(inc):
+            events.append(("draw", len(drawn)))
+            drawn.append(None)
+            draw(inc)
+
+        return recorded
+
+    def pausing_zeta_values(grid, w, x, out):
+        composed = sum(kind == "composed" for kind, _ in events)
+        time.sleep(0.02)
+        zeta_values(grid, w, x, out=out)
+        events.append(("composed", composed))
+
+    zeta_values = sampling.zeta_values
+    monkeypatch.setattr(sampling, "_levy_draw", recording_levy_draw)
+    monkeypatch.setattr(sampling, "zeta_values", pausing_zeta_values)
+    got = sampling.sample_zeta_batch(g, GAMMA, 154, n)
+    blocks = len(sampling._blocks(n))
+    assert blocks == 6
+    assert [i for kind, i in events if kind == "draw"] == list(range(blocks))
+    assert [i for kind, i in events if kind == "composed"] == list(range(blocks))
+    for i in range(blocks - sampling._RING):
+        assert events.index(("draw", i + sampling._RING)) > events.index(("composed", i))
+    assert _same_bits(got, ref)
 
 
 @pytest.mark.parametrize("case", ["return", "levy-error", "compose-error"])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarketModel
-from .numerics import DEFAULT_QUADRATURE, UNDERFLOW, Quadrature
+from .numerics import DEFAULT_QUADRATURE, UNDERFLOW, Quadrature, gauss_density
 from .pricing import (_atom_axis, _match_atom, _require_binary, bayes_posterior, binary_from_ratio,
                       bridge_levy_density, likelihood_ratio, option_integral, require_probability_vector)
 
@@ -103,19 +103,20 @@ def survival_kernel(model: MarketModel, t: float, x, h,
 
 
 def _survival_integral(model: MarketModel, t: float, x, h, q: Quadrature, g=None,
-                       abs_tol: float = UNDERFLOW):
+                       abs_tol: float = UNDERFLOW, factor=gauss_density):
     """Integral over default times r in (t, T] of g(r, h) times the bridge-plus-Levy density at x; g = 1 if None.
 
     x and h are per-element arguments of the default-time integral; g gets
     h as an array that broadcasts with r.  A density's integral runs at
     Quadrature(abs_tol, q.rel_tol): the likelihood (g None) is resolved
     relative to itself down to underflow, as integrate_levy resolves it.
+    ``factor`` is the Gaussian factor of bridge_levy_density.
     """
     law = _require_default_law(model)
     k = model.levy_drift_scale * t
 
     def f(s, x, h):
-        dens = bridge_levy_density(model, t, x, s, h, k, q)
+        dens = bridge_levy_density(model, t, x, s, h, k, q, factor)
         return dens if g is None else g(t + s, h) * dens
 
     tau_q = None if law.is_discrete else Quadrature(abs_tol, q.rel_tol)
@@ -213,14 +214,16 @@ def option_value_default(model: MarketModel, t: float, strike: float,
     """Time-0 value of a call exercisable at t on the defaultable bond.
 
     Sum of the revealed part, weighted by P(tau <= t), and the survival part,
-    an x-integral of the positive part of the strike-adjusted survival kernels.
-    Under a density the kernels have cusps on the payoff rays, where default
-    times just after t pile up; an atom law's kernels are smooth.
+    the positive part of the strike-adjusted survival kernels summed over x
+    (``option_integral``).  The narrowest bridge ends at the first default
+    atom after t, or at T under a density, whose kernels have cusps on the
+    payoff rays, where default times just after t pile up.
     """
     law = _require_default_law(model)
     rays = () if law.is_discrete else model.sigma * t * model.payoff.support
-    survival = option_integral(model, t, strike, lambda h, x: survival_kernel(model, t, x, h, q),
-                               model.levy_drift_scale * t, rays)
+    e = min(law.atom_times[law.atom_times > t], default=model.maturity) if law.is_discrete else model.maturity
+    survival = option_integral(model, t, strike, lambda h, x, f: _survival_integral(model, t, x, h, q, factor=f),
+                               model.levy_drift_scale * t, e, rays)
     p_tT = model.discount(t)
     revealed = law.cdf(t) * sum(max(p_tT * h - strike, 0.0) * p
                                 for h, p in zip(model.payoff.support, model.payoff.probs))

@@ -31,6 +31,7 @@ _MAX_SUBDIVISIONS = 2000  # an element holding this many panels splits no more; 
 # as underflow takes their relative precision
 UNDERFLOW = 1e-290
 _MAX_LATTICE = 1 << 22
+_SCAN_BLOCK = 1 << 11  # points per call of g in the scan of positive_intervals, which bounds its temporaries
 _BLOCK = 16  # lattice points per block of a Poisson sum
 # past 40 + 2a the gamma(a) density is below e^-40 of its bulk, and past
 # 1000 + 2a it underflows to 0
@@ -517,29 +518,33 @@ def integrate_panels(f: Callable, breaks, q: Quadrature, args=()):
     return _result(val)
 
 
-def positive_part_integral(g: Callable, lo: float, hi: float, q: Quadrature, points=()) -> float:
-    """Integral of max(g, 0) over [lo, hi], for g that maps an array of points to values.
+def positive_intervals(g: Callable, lo: float, hi: float, step: float, points=()) -> np.ndarray:
+    """The intervals (a, b] of [lo, hi] where g > 0, as rows (a, b); g maps an array of points to values.
 
-    Kinks are located by a 201-point scan in one call of g and polished by
-    root finding; with the known kinks of g in ``points`` they become break
-    points of the panel rule to the tolerance q, every gap starting as four
-    panels, which calls g as ``integrate_panels`` calls its integrand.  The
-    root finder reads g at its bracket ends from the scan, which equals g's
-    scalar calls there.
+    g is scanned, in calls of at most 2048 points, on an even grid of
+    spacing at most ``step`` and at least 201 points, plus the ``points``
+    inside (lo, hi).  Each sign change between neighbouring nonzero scan
+    values is polished by root finding, which reads g at its bracket ends
+    from the scan, equal to g's scalar calls there; each piece between the
+    roots has the sign of its nonzero scan values.  Two sign changes between
+    neighbouring scan points are not seen, so ``step`` must resolve g.
     """
-    xs = np.linspace(lo, hi, 201)
-    vals = np.broadcast_to(g(xs), xs.shape)
-    # signs, not a product: the product of two finite values can overflow
-    change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
-    scanned = dict(zip(xs.tolist(), vals.tolist()))
+    n = max(201, int(np.ceil((hi - lo) / step)) + 1)
+    xs = np.union1d(np.linspace(lo, hi, n), [p for p in points if lo < p < hi])
+    blocks = np.array_split(xs, -(-xs.size // _SCAN_BLOCK))
+    vals = np.concatenate([np.broadcast_to(g(c), c.shape) for c in blocks])
+    nonzero = np.flatnonzero(vals)
+    # signs, not products: the product of two finite values can overflow
+    sign = np.sign(vals[nonzero]) if nonzero.size else np.zeros(1)
+    flip = np.flatnonzero(sign[1:] != sign[:-1])
+    scanned = dict(zip(xs[nonzero].tolist(), vals[nonzero].tolist()))
 
     def g_at(x: float) -> float:
         return scanned[x] if x in scanned else float(g(x))
 
-    kinks = [optimize.brentq(g_at, xs[i], xs[i + 1]) for i in change]
-    breaks = np.unique([lo, *kinks, *(p for p in points if lo < p < hi), hi])
-    grid = np.concatenate([np.linspace(a, b, 5)[:-1] for a, b in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
-    return integrate_panels(lambda x: np.maximum(g(x), 0.0), grid, q)
+    roots = [optimize.brentq(g_at, xs[nonzero[i]], xs[nonzero[i + 1]]) for i in flip]
+    cuts, up = np.array([lo, *roots, hi]), sign[np.concatenate([[0], flip + 1])] > 0.0
+    return np.stack([cuts[:-1][up], cuts[1:][up]], axis=-1)
 
 
 def power_gauss_integral(nu: float, beta: float, alpha: float,

@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from .model import MarketModel
 from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
                        gauss_density, integrate_levy,
-                       parabolic_cylinder_log_D, positive_part_integral)
+                       parabolic_cylinder_log_D, positive_intervals)
 
 _WEIGHT_TOL = 1e-10
-_OPTION_QUADRATURE = Quadrature(abs_tol=1e-10, rel_tol=1e-8)
 _PRICE_SLACK = 1e-9
 _RAY_TOL = 1e-9
 _SERIES_TOL = 1e-16
@@ -67,7 +66,7 @@ def bayes_posterior(likelihoods, priors) -> np.ndarray:
 
 
 def bridge_levy_density(model: MarketModel, t: float, x, s, h, k: float,
-                        q: Quadrature):
+                        q: Quadrature, factor=gauss_density):
     """Density at x of sigma*t*h + a bridge of length t + s at time t + k * X_s.
 
     s is the time the bridge still runs after t.  The Gaussian bridge has
@@ -79,17 +78,20 @@ def bridge_levy_density(model: MarketModel, t: float, x, s, h, k: float,
     together; the result then has their broadcast shape, and each element
     has its own variance and law time.  With the payoff atoms on a leading
     axis of h (see ``_atom_axis``), one call gives every atom's likelihood.
+    factor(v, z), the Gaussian factor at z = x - sigma*t*h - k*y with a node
+    axis last, is the density; a distribution function of z / sqrt(v) gives
+    the probability of a half-line instead (see ``option_integral``).
     """
     x, s, h = (np.asarray(a, dtype=float) for a in (x, s, h))
     v = t * s / (t + s)
     shift = (x - model.sigma * t * h)[..., None]
     if k == 0.0:
-        dens = gauss_density(v, shift[..., 0])
+        dens = factor(v[..., None], shift)[..., 0]
         return float(dens) if dens.ndim == 0 else dens
     # a subnormal k sends break points past the float range; integrate_levy drops them
     with np.errstate(over="ignore", invalid="ignore"):
         points = shift / k + (np.sqrt(v)[..., None] / abs(k)) * GAUSS_BREAKS
-    return integrate_levy(lambda y: gauss_density(v[..., None], shift - k * y), model.levy, s, q,
+    return integrate_levy(lambda y: factor(v[..., None], shift - k * y), model.levy, s, q,
                           points=points)
 
 
@@ -275,11 +277,11 @@ def _require_binary(model: MarketModel) -> None:
 # -- option valuation -----------------------------------------------------------
 
 def x_bracket(model: MarketModel, t: float, k: float) -> tuple[float, float]:
-    """Interval outside which sigma*t*h + bridge + k * X_{T-t} carries < 1e-12 mass.
+    """Interval outside which sigma*t*h + bridge + k * X_{T-t} carries < 1e-12 mass: the option's scan range.
 
     k is the Levy coefficient of bridge_levy_density: t/T in the maturity
     model, mu*t in the default-time model, whose shorter bridges only narrow
-    the interval.
+    the interval.  The option's intervals end at its ends.
     """
     T = model.maturity
     sd = np.sqrt(t * (T - t) / T)
@@ -290,39 +292,50 @@ def x_bracket(model: MarketModel, t: float, k: float) -> tuple[float, float]:
     return lo, hi
 
 
-def option_integral(model: MarketModel, t: float, strike: float, kernel, k: float, kinks=()) -> float:
-    """Integral over x of the positive part of sum_h p_h (P_t^T h - K) kernel(h, x).
+def option_integral(model: MarketModel, t: float, strike: float, kernel, k: float, e: float, rays=()) -> float:
+    """Integral over x of the positive part of g = sum_h p_h (P_t^T h - K) kernel(h, x), as a finite sum.
 
-    kernel(h, x) is the likelihood of the observations x given payoff h,
-    with Levy coefficient k (see x_bracket), and ``kinks`` holds the x where
-    it is not smooth.  It gets every payoff atom at once, on a leading axis
-    of h in front of the axes of x, and returns one row per atom.  Both
-    option routes share it.
+    kernel(h, x, factor) is bridge_levy_density with Levy coefficient k (see
+    x_bracket), or its integral over default times, with Gaussian factor
+    ``factor``; it gets every payoff atom on a leading axis of h and returns
+    one row per atom.  g is scanned at a quarter of the narrowest bridge's
+    standard deviation, sqrt(t (e - t) / e), plus the ``rays``, where the
+    kernel has cusps.  Each interval (a, b] where g > 0 adds every atom's
+    mass there, from one kernel call per side with a Gaussian distribution
+    function as its factor: a mass below its law's mean, sigma t h + k
+    E[X_(e-t)], is a difference of lower tails and one above it of upper
+    tails, so that none is a difference of two values near 1.
     """
     if not 0.0 < t < model.maturity:
         raise ValueError("need 0 < t < T")
     if strike < 0.0:
         raise ValueError("strike must be nonnegative")
-    p_tT = model.discount(t)
     support, probs = model.payoff.support, model.payoff.probs
+    coef = (model.discount(t) * support - strike) * probs
 
     def g(x):
-        table = kernel(_atom_axis(support, x), x)
-        return sum((p_tT * h - strike) * row * p for h, p, row in zip(support, probs, table))
+        return sum(c * row for c, row in zip(coef, kernel(_atom_axis(support, x), x, gauss_density)))
 
-    lo, hi = x_bracket(model, t, k)
-    return positive_part_integral(g, lo, hi, _OPTION_QUADRATURE, kinks)
+    ends = positive_intervals(g, *x_bracket(model, t, k), np.sqrt(t * (e - t) / e) / 4.0, rays)
+    h, x = np.broadcast_arrays(support[:, None, None], ends)
+    up = x[..., 0] >= (model.sigma * t * support + k * model.levy.mean(e - t))[:, None]
+    mass = np.zeros(up.shape)
+    for side, sel in ((1.0, ~up), (-1.0, up)):
+        tails = kernel(h[sel], x[sel], lambda v, z: ndtr(side * z / np.sqrt(v)))
+        mass[sel] = side * (tails[:, 1] - tails[:, 0])
+    return float(coef @ mass.sum(axis=1))
 
 
 def option_value(model: MarketModel, t: float, strike: float,
                  q: Quadrature = DEFAULT_QUADRATURE) -> float:
     """Value at time 0 of a call exercisable at t on the bond maturing at T.
 
-    Discounted positive part of the strike-adjusted likelihood mixture,
-    integrated over every value the information process can take at t.
+    Discounted positive part of the strike-adjusted likelihood mixture over
+    every value the information process can take at t (``option_integral``).
     """
-    val = option_integral(model, t, strike, lambda h, x: likelihood_q(model, t, h, x, q), t / model.maturity)
-    return model.discount(0.0, t) * val
+    T = model.maturity
+    return model.discount(0.0, t) * option_integral(
+        model, t, strike, lambda h, x, f: bridge_levy_density(model, t, x, T - t, h, t / T, q, f), t / T, T)
 
 
 # -- transition density of the noise process -------------------------------------

@@ -11,7 +11,10 @@ engine moved to a flat store of live panels; the psi case at (t, u) =
 the payoff atoms and psi's y values became element axes of one engine call.
 The two uniform-default cases, whose integrals over the default time cross
 the law's jumps, were added from the code before every tolerance reached an
-integral as one Quadrature.
+integral as one Quadrature.  The option cases of the exponential and uniform
+Poisson default models were regenerated when option values became sums of
+tail masses, with no integral over x: each moved by about 5e-12, to within
+1e-13 relative of the old route at 100 times tighter tolerances.
 
 It runs only the cases the table lacks and leaves every existing entry
 byte-identical: a rerun can move an existing entry in its last digits, inside

@@ -8,7 +8,7 @@ from levybridge.numerics import (Quadrature, QuadratureError, gamma_density,
                                  gauss_density, integrate_levy, integrate_panels,
                                  parabolic_cylinder_D,
                                  parabolic_cylinder_log_D, poisson_pmf,
-                                 positive_part_integral, power_gauss_integral)
+                                 positive_intervals, power_gauss_integral)
 
 GAMMA = LevyLaw.standard_gamma()
 POIS = LevyLaw.poisson(1.0)
@@ -211,10 +211,25 @@ def test_integrate_panels_rejects_break_points_it_cannot_integrate(breaks):
         integrate_panels(lambda x: np.ones_like(x), breaks, Quadrature(1e-12, 1e-10))
 
 
-def test_positive_part_integral():
-    val = positive_part_integral(lambda x: np.sin(x), 0.0, 3.0 * np.pi, Quadrature(1e-12, 1e-10))
-    assert val == pytest.approx(4.0, rel=1e-10)
-    assert positive_part_integral(lambda x: 0.0 * x - 1.0, -1.0, 1.0, Quadrature(1e-12, 1e-10)) == 0.0
+_SINE_POSITIVE = [[0.0, np.pi], [2.0 * np.pi, 3.0 * np.pi]]
+
+
+def test_positive_intervals():
+    # sin(0) is exactly 0: the first piece takes the sign of its scan values that are not 0
+    np.testing.assert_allclose(positive_intervals(np.sin, 0.0, 3.0 * np.pi, 0.1), _SINE_POSITIVE, rtol=0.0, atol=1e-11)
+    assert positive_intervals(lambda x: 0.0 * x - 1.0, -1.0, 1.0, 0.1).shape == (0, 2)
+
+
+def test_positive_intervals_scans_in_blocks():
+    sizes = []
+
+    def g(x):
+        sizes.append(np.size(x))
+        return np.sin(x)
+
+    ends = positive_intervals(g, 0.0, 3.0 * np.pi, 1e-3)  # 9426 scan points in 5 calls, then brentq's scalar calls
+    np.testing.assert_allclose(ends, _SINE_POSITIVE, rtol=0.0, atol=1e-11)
+    assert sum(sizes[:5]) == 9426 and max(sizes) <= 2048
 
 
 def test_no_overflow_warning_on_finite_inputs():
@@ -222,9 +237,9 @@ def test_no_overflow_warning_on_finite_inputs():
     # density is 0 there, and the kinks are found from signs (RuntimeWarning is an error here)
     assert gauss_density(1.0, 1e200) == 0.0
     assert gauss_density(np.array([0.5, 2.0]), -1e200, 1e200).tolist() == [0.0, 0.0]
-    assert positive_part_integral(lambda x: 1e300 * (np.sin(x) - 2.0), 0.0, 3.0, Quadrature(1e-12, 1e-10)) == 0.0
-    val = positive_part_integral(lambda x: 1e300 * np.sin(x), 0.0, 3.0 * np.pi, Quadrature(1e-12, 1e-10))
-    assert val == pytest.approx(4e300, rel=1e-10)
+    assert positive_intervals(lambda x: 1e300 * (np.sin(x) - 2.0), 0.0, 3.0, 0.1).shape == (0, 2)
+    ends = positive_intervals(lambda x: 1e300 * np.sin(x), 0.0, 3.0 * np.pi, 0.1)
+    np.testing.assert_allclose(ends, _SINE_POSITIVE, rtol=0.0, atol=1e-11)
 
 
 def test_gamma_law_time_below_1e_15():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levybridge import default_pricing, pricing
-from levybridge.laws import LevyLaw, PayoffDistribution
+from levybridge import default_pricing, numerics, pricing
+from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
 from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density, integrate_levy, poisson_pmf
 from levybridge.pricing import (PriceQuote, bayes_posterior, binary_bond_price,
@@ -188,6 +188,59 @@ def test_option_rejects_bad_inputs():
         option_value(m, 0.0, 0.5)
     with pytest.raises(ValueError):
         option_value(m, 0.5, -0.1)
+
+
+def _lattice_model(lam, sigma, law=None):
+    return MarketModel(1.0, sigma, 1.0, RateCurve.flat(0.0), BINARY, LevyLaw.poisson(lam), default_law=law)
+
+
+# The references of lambda 2000 are a trapezoid rule of the positive part on 4000001 points, with no scan:
+# PYTHONPATH=src python -c "import numpy as np; from levybridge import pricing as p; from levybridge.laws import
+#   LevyLaw, PayoffDistribution as D; from levybridge.model import MarketModel as M, RateCurve as R; s, t = 0.5, 0.95;
+#   m = M(1.0, s, 1.0, R.flat(0.0), D.binary(0.0, 1.0, 0.5), LevyLaw.poisson(2000.0));
+#   x = np.linspace(*p.x_bracket(m, t, t), 4_000_001); g = np.concatenate([0.25 * (p.likelihood_q(m, t, 1.0, c)
+#   - p.likelihood_q(m, t, 0.0, c)) for c in np.array_split(x, 80)]); print(np.trapezoid(np.maximum(g, 0.0), x))"
+# and s, t = 0.3, 0.9 for the second.
+@pytest.mark.parametrize("lam, sigma, t, ref", [
+    (500.0, 0.5, 0.9, 0.0361327303387),
+    (2000.0, 0.5, 0.95, 0.1127501037363217),
+    (2000.0, 0.3, 0.9, 0.02880182457585509),
+])
+def test_option_value_under_lattice_oscillations(lam, sigma, t, ref):
+    # g oscillates with the Poisson lattice; a 201-point scan finds 91 of its 195 sign changes at lambda 500
+    assert option_value(_lattice_model(lam, sigma), t, 0.5) == pytest.approx(ref, rel=1e-8)
+
+
+_MISSES_DEEP_TAIL_PAIRS = pytest.mark.xfail(strict=True, reason=(
+    "two pairs of sign changes near x = 52 lie closer than the scan step; |g| < 1e-34 there, "
+    "and the value matches its reference"))
+
+
+# Each count is the number of sign changes between neighbouring nonzero values of the same g on
+# np.linspace(lo, hi, n) over its x_bracket: n = 200001 in the maturity model and 20001 under a density.
+@pytest.mark.parametrize("lam, sigma, t, law, count", [
+    (1.0, 0.3, 0.99, None, 13),
+    (20.0, 0.3, 0.95, None, 38),
+    (50.0, 0.3, 0.99, None, 29),
+    (100.0, 0.5, 0.99, None, 35),
+    (500.0, 0.5, 0.9, None, 195),
+    (2000.0, 0.5, 0.95, None, 373),
+    pytest.param(2000.0, 0.3, 0.9, None, 527, marks=_MISSES_DEEP_TAIL_PAIRS),
+    pytest.param(20.0, 0.5, 0.9, DefaultTimeLaw.exponential_conditioned(1.0, 1.0), 13, id="exponential-default"),
+    pytest.param(5.0, 0.5, 0.9, DefaultTimeLaw.uniform(0.2, 0.97, horizon=1.0), 7, id="uniform-default"),
+])
+def test_option_scan_finds_every_sign_change(monkeypatch, lam, sigma, t, law, count):
+    found = []
+
+    def spy(g, lo, hi, step, points=()):
+        ends = numerics.positive_intervals(g, lo, hi, step, points)
+        found.append(np.count_nonzero((ends > lo) & (ends < hi)))
+        return ends
+
+    monkeypatch.setattr(pricing, "positive_intervals", spy)
+    m = _lattice_model(lam, sigma, law)
+    (option_value if law is None else default_pricing.option_value_default)(m, t, 0.5)
+    assert found == [count]
 
 
 def test_price_quote_validation():

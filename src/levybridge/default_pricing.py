@@ -137,7 +137,7 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     numerator, as one gives the denominator.  The result is resolved to
     q.rel_tol relative plus q.abs_tol absolute: on the survival branch the
     numerator's absolute tolerance is q.abs_tol times the posterior mass,
-    which a density law rejects where it underflows to 0.  A g whose
+    or the least positive float where that product underflows.  A g whose
     integral is not finite raises QuadratureError.
     """
     i = _revealed_atom(model, t, x)
@@ -149,7 +149,9 @@ def posterior_tau_payoff(model: MarketModel, t: float, x: float, g,
     den = sum(p * kern for p, kern in zip(probs, survival_kernel(model, t, x, support, q)))
     if den <= 0.0 or not np.isfinite(den):
         raise ArithmeticError("survival posterior mass vanished")
-    num = sum(p * v for p, v in zip(probs, _survival_integral(model, t, x, support, q, g, q.abs_tol * den)))
+    # the least positive float where q.abs_tol * den underflows: the numerator is then resolved relative to itself
+    abs_tol = max(q.abs_tol * den, np.finfo(float).smallest_subnormal)
+    num = sum(p * v for p, v in zip(probs, _survival_integral(model, t, x, support, q, g, abs_tol)))
     return num / den
 
 

@@ -31,7 +31,7 @@ _MAX_SUBDIVISIONS = 2000  # an element holding this many panels splits no more; 
 # as underflow takes their relative precision
 UNDERFLOW = 1e-290
 _MAX_LATTICE = 1 << 22
-_SCAN_BLOCK = 1 << 11  # points per call of g in the scan of positive_intervals, which bounds its temporaries
+_ELEMENT_BLOCK = 1 << 11  # elements per engine call of a caller that splits them (in_blocks): bounds its store
 _BLOCK = 16  # lattice points per block of a Poisson sum
 # past 40 + 2a the gamma(a) density is below e^-40 of its bulk, and past
 # 1000 + 2a it underflows to 0
@@ -451,7 +451,9 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
     in one flat store of (element, panel) entries.  Each round bisects the
     panels of the elements whose error estimate is above the goal, a quarter
     of q.rel_tol times the integral of |f| down to underflow, and an element
-    leaves the store with its result once it has converged.  Each round
+    leaves the store with its result once it has converged.  Where the
+    caller's abs_tol is below about q.rel_tol * 1e-290, the goal is instead
+    a quarter of the bound the result is checked against.  Each round
     calls f once (more only past a cap on the temporary) with a node array
     of the elements' shape: each element's new nodes side by side, and a
     point of the law's support, of no weight, in the slots an element does
@@ -471,7 +473,7 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
         return _result(np.broadcast_to(np.asarray(f(np.zeros(1)), dtype=float), shape + (1,))[..., 0])
 
     def goal(val, mag):
-        return REQUEST_MARGIN * q.rel_tol * (mag + UNDERFLOW)
+        return REQUEST_MARGIN * np.minimum(q.rel_tol * (mag + UNDERFLOW), q.rel_tol * np.abs(val) + q.abs_tol)
 
     if law.kind == GAMMA:
         val, err = _refine(f, _gamma_panels(t, points, shape), shape, goal)
@@ -518,21 +520,25 @@ def integrate_panels(f: Callable, breaks, q: Quadrature, args=()):
     return _result(val)
 
 
+def in_blocks(fn: Callable, n: int) -> np.ndarray:
+    """fn(b) over consecutive slices b of at most _ELEMENT_BLOCK of n elements (one empty if n is 0), joined."""
+    return np.concatenate([fn(slice(i, i + _ELEMENT_BLOCK)) for i in range(0, max(n, 1), _ELEMENT_BLOCK)])
+
+
 def positive_intervals(g: Callable, lo: float, hi: float, step: float, points=()) -> np.ndarray:
     """The intervals (a, b] of [lo, hi] where g > 0, as rows (a, b); g maps an array of points to values.
 
-    g is scanned, in calls of at most 2048 points, on an even grid of
-    spacing at most ``step`` and at least 201 points, plus the ``points``
-    inside (lo, hi).  Each sign change between neighbouring nonzero scan
-    values is polished by root finding, which reads g at its bracket ends
-    from the scan, equal to g's scalar calls there; each piece between the
-    roots has the sign of its nonzero scan values.  Two sign changes between
+    g is scanned on an even grid of spacing at most ``step`` and at least
+    201 points, plus the ``points`` inside (lo, hi), in calls of at most
+    2048 points (``in_blocks``).  Each sign change between neighbouring
+    nonzero scan values is polished by root finding, which reads g at its
+    bracket ends from the scan, equal to g's scalar calls there; each piece
+    between the roots has the sign of its nonzero scan values.  Two sign changes between
     neighbouring scan points are not seen, so ``step`` must resolve g.
     """
     n = max(201, int(np.ceil((hi - lo) / step)) + 1)
     xs = np.union1d(np.linspace(lo, hi, n), [p for p in points if lo < p < hi])
-    blocks = np.array_split(xs, -(-xs.size // _SCAN_BLOCK))
-    vals = np.concatenate([np.broadcast_to(g(c), c.shape) for c in blocks])
+    vals = in_blocks(lambda b: np.broadcast_to(g(xs[b]), xs[b].shape), xs.size)
     nonzero = np.flatnonzero(vals)
     # signs, not products: the product of two finite values can overflow
     sign = np.sign(vals[nonzero]) if nonzero.size else np.zeros(1)

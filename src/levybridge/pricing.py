@@ -16,7 +16,7 @@ from scipy.special import gammaln, ndtr
 
 from .model import MarketModel
 from .numerics import (DEFAULT_QUADRATURE, GAUSS_BREAKS, Quadrature,
-                       gauss_density, integrate_levy,
+                       gauss_density, in_blocks, integrate_levy,
                        parabolic_cylinder_log_D, positive_intervals)
 
 _WEIGHT_TOL = 1e-10
@@ -25,8 +25,6 @@ _RAY_TOL = 1e-9
 _SERIES_TOL = 1e-16
 _VANISHED = "posterior mass vanished: observation too deep in the tails"
 _BRACKET_WIDTH = 12.0
-# pairs of y and outer node per inner integral of transition_density_psi, which bounds its temporaries
-_PSI_PAIRS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,26 @@ def bridge_levy_density(model: MarketModel, t: float, x, s, h, k: float,
     axis of h (see ``_atom_axis``), one call gives every atom's likelihood.
     factor(v, z), the Gaussian factor at z = x - sigma*t*h - k*y with a node
     axis last, is the density; a distribution function of z / sqrt(v) gives
-    the probability of a half-line instead (see ``option_integral``).
+    the probability of a half-line instead (see ``option_integral``).  The
+    broadcast elements go to integrate_levy flattened, in blocks of at most
+    2048 (``in_blocks``): an element's integral does not depend on the
+    others, bit for bit, so the blocks move no value and bound each call's
+    panel store.
     """
     x, s, h = (np.asarray(a, dtype=float) for a in (x, s, h))
-    v = t * s / (t + s)
-    shift = (x - model.sigma * t * h)[..., None]
-    if k == 0.0:
-        dens = factor(v[..., None], shift)[..., 0]
-        return float(dens) if dens.ndim == 0 else dens
-    # a subnormal k sends break points past the float range; integrate_levy drops them
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = shift / k + (np.sqrt(v)[..., None] / abs(k)) * GAUSS_BREAKS
-    return integrate_levy(lambda y: factor(v[..., None], shift - k * y), model.levy, s, q,
-                          points=points)
+    elems = np.broadcast_arrays(t * s / (t + s), x - model.sigma * t * h, s)
+    v, shift, s = (a.reshape(-1, 1) for a in elems)
+
+    def block(b):
+        if k == 0.0:
+            return factor(v[b], shift[b])[:, 0]
+        # a subnormal k sends break points past the float range; integrate_levy drops them
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = shift[b] / k + (np.sqrt(v[b]) / abs(k)) * GAUSS_BREAKS
+        return integrate_levy(lambda y: factor(v[b], shift[b] - k * y), model.levy, s[b, 0], q, points=points)
+
+    dens = in_blocks(block, s.shape[0]).reshape(elems[0].shape)
+    return float(dens) if dens.ndim == 0 else dens
 
 
 def _atom_axis(values, x) -> np.ndarray:
@@ -354,10 +359,11 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
     y may be an array: the result is a float for a scalar y and an array of
     y's shape otherwise.  The outer integral runs over every y at once; the
     inner one runs once per distinct pair of y and outer node in a round,
-    so the unused slots of an outer element, which all hold one node, cost
-    one inner integral between them.  The denominator, which does not
-    depend on y, is computed once, first: a vanishing density of x raises
-    ArithmeticError before the numerator runs.
+    in blocks of at most 2048 pairs (``in_blocks``), so the unused slots of
+    an outer element, which all hold one node, cost one inner integral
+    between them.  The denominator, which does not depend on y, is computed
+    once, first: a vanishing density of x raises ArithmeticError before the
+    numerator runs.
     """
     T = model.maturity
     if not 0.0 < t < u < T:
@@ -398,8 +404,7 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
         ys, z = np.broadcast_arrays(y[..., None], z)
         # the distinct (y, z) pairs, as complex numbers y + iz
         pairs, at = np.unique(ys.ravel() + 1j * z.ravel(), return_inverse=True)
-        chunks = (pairs[i:i + _PSI_PAIRS] for i in range(0, max(pairs.size, 1), _PSI_PAIRS))
-        vals = np.concatenate([inner(c.real, c.imag) for c in chunks])
+        vals = in_blocks(lambda b: inner(pairs[b].real, pairs[b].imag), pairs.size)
         return vals[at].reshape(z.shape)
 
     num = integrate_levy(outer_f, law, np.broadcast_to(s_outer, y.shape), q.scaled(0.1))

@@ -14,7 +14,10 @@ the law's jumps, were added from the code before every tolerance reached an
 integral as one Quadrature.  The option cases of the exponential and uniform
 Poisson default models were regenerated when option values became sums of
 tail masses, with no integral over x: each moved by about 5e-12, to within
-1e-13 relative of the old route at 100 times tighter tolerances.
+1e-13 relative of the old route at 100 times tighter tolerances.  The
+option case of the exponential gamma default model was added from the code
+before the likelihood kernel, the option scan and psi split their engine
+calls into blocks of elements.
 
 It runs only the cases the table lacks and leaves every existing entry
 byte-identical: a rerun can move an existing entry in its last digits, inside
@@ -54,6 +57,7 @@ CASES = [
     ("option-poisson", "poisson", ["option", "--t", "0.5", "--K", "0.5"]),
     ("option-atom-default", "atom-default", ["option", "--t", "0.5", "--K", "0.5"]),
     ("option-exp-default-poisson", "exp-default-poisson", ["option", "--t", "0.5", "--K", "0.3"]),
+    ("option-exp-default-gamma", "exp-default-gamma", ["option", "--t", "0.5", "--K", "0.3"]),
     ("price-gamma", "gamma", ["price", "--t", "0.5", "--x", "0.4"]),
     ("price-poisson", "poisson", ["price", "--t", "0.5", "--x", "0.4"]),
     ("price-exp-default-gamma", "exp-default-gamma", ["price", "--t", "0.5", "--x", "0.4"]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,20 @@ def test_option_default_discounting():
     assert option_value_default(m, 0.5, 0.0) == pytest.approx(np.exp(-0.04) * 0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("t", [0.5, 0.9])
+def test_option_default_density_law_memory_is_bounded(t):
+    # the survival kernel's density calls run in blocks of elements: without them the exponential
+    # default law's option (cli_golden.json's option-exp-default-gamma) traced 797 MB at t 0.5
+    m = _model(law=DefaultTimeLaw.exponential_conditioned(0.5, 1.0), rate=0.03)
+    tracemalloc.start()
+    try:
+        option_value_default(m, t, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
 def test_default_quote_validation():
     with pytest.raises(ValueError):
         DefaultQuote(0.5, 0.3, False, 0.4, ((0.7, 0.0, 0.4), (0.7, 1.0, 0.4)))
@@ -304,13 +320,24 @@ def test_posterior_tau_payoff_raises_on_a_g_that_is_not_finite(law, bad):
 
 
 def test_posterior_tau_numerator_tolerance_that_underflows():
-    # q.abs_tol times the posterior mass is 0.0: an atom sum reads no tolerance, a density rejects it
+    # q.abs_tol times the posterior mass is 0.0: an atom sum reads no tolerance, a density resolves the
+    # numerator relative to itself
     q = Quadrature(abs_tol=5e-324)
     m = _model()
     assert posterior_tau_payoff(m, 0.5, -1.0, lambda r, h: h, q) == posterior_tau_payoff(m, 0.5, -1.0, lambda r, h: h)
-    with pytest.raises(ValueError, match="tolerances must be positive"):
-        posterior_tau_payoff(_model(law=DefaultTimeLaw.exponential_conditioned(0.5, 1.0)), 0.5, 0.3,
-                             lambda r, h: h, q)
+    m = _model(law=DefaultTimeLaw.exponential_conditioned(0.5, 1.0))
+    assert posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: h, q) == pytest.approx(
+        posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: h), rel=1e-9)
+
+
+# the references are the default-tolerance values
+@pytest.mark.parametrize("x, abs_tol, ref", [(-3.0, 1e-300, 0.001035432106684193),
+                                             (-1.0, 5e-324, 0.03790299573669387)])
+def test_posterior_tau_abs_tol_below_the_underflow_floor(x, abs_tol, ref):
+    # integrals whose values underflow are refined to the tolerance they are checked against
+    m = _model(law=DefaultTimeLaw.exponential_conditioned(0.5, 1.0))
+    assert posterior_tau_payoff(m, 0.5, x, lambda r, h: h * r, Quadrature(abs_tol=abs_tol)) == pytest.approx(
+        ref, rel=1e-9)
 
 
 def _reference_survival_kernel(model, t, x, h):

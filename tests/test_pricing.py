@@ -216,20 +216,34 @@ _MISSES_DEEP_TAIL_PAIRS = pytest.mark.xfail(strict=True, reason=(
     "and the value matches its reference"))
 
 
+def _scan_case(lam, sigma, t, law, count, marks=(), id=None):
+    """A binary Poisson case of the scan test, with the id pytest gives the plain tuple of its arguments."""
+    return pytest.param(_lattice_model(lam, sigma, law), t, count, marks=marks,
+                        id=id or f"{lam}-{sigma}-{t}-{law}-{count}")
+
+
 # Each count is the number of sign changes between neighbouring nonzero values of the same g on
-# np.linspace(lo, hi, n) over its x_bracket: n = 200001 in the maturity model and 20001 under a density.
-@pytest.mark.parametrize("lam, sigma, t, law, count", [
-    (1.0, 0.3, 0.99, None, 13),
-    (20.0, 0.3, 0.95, None, 38),
-    (50.0, 0.3, 0.99, None, 29),
-    (100.0, 0.5, 0.99, None, 35),
-    (500.0, 0.5, 0.9, None, 195),
-    (2000.0, 0.5, 0.95, None, 373),
-    pytest.param(2000.0, 0.3, 0.9, None, 527, marks=_MISSES_DEEP_TAIL_PAIRS),
-    pytest.param(20.0, 0.5, 0.9, DefaultTimeLaw.exponential_conditioned(1.0, 1.0), 13, id="exponential-default"),
-    pytest.param(5.0, 0.5, 0.9, DefaultTimeLaw.uniform(0.2, 0.97, horizon=1.0), 7, id="uniform-default"),
+# np.linspace(lo, hi, n) over its x_bracket: n = 200001 in the maturity model and under an atom law,
+# and 20001 under a density.
+@pytest.mark.parametrize("model, t, count", [
+    _scan_case(1.0, 0.3, 0.99, None, 13),
+    _scan_case(20.0, 0.3, 0.95, None, 38),
+    _scan_case(50.0, 0.3, 0.99, None, 29),
+    _scan_case(100.0, 0.5, 0.99, None, 35),
+    _scan_case(500.0, 0.5, 0.9, None, 195),
+    _scan_case(2000.0, 0.5, 0.95, None, 373),
+    _scan_case(2000.0, 0.3, 0.9, None, 527, marks=_MISSES_DEEP_TAIL_PAIRS),
+    _scan_case(20.0, 0.5, 0.9, DefaultTimeLaw.exponential_conditioned(1.0, 1.0), 13, id="exponential-default"),
+    _scan_case(5.0, 0.5, 0.9, DefaultTimeLaw.uniform(0.2, 0.97, horizon=1.0), 7, id="uniform-default"),
+    pytest.param(_model(sigma=0.3), 0.99, 1, id="gamma"),
+    pytest.param(MarketModel(1.0, 0.3, 1.0, RateCurve.flat(0.0), PayoffDistribution.from_weights(
+        [0.0, 0.5, 1.0], [0.3, 0.3, 0.4]), LevyLaw.poisson(50.0)), 0.99, 29, id="three-atoms"),
+    pytest.param(MarketModel(1.0, 0.5, 1.0, RateCurve.flat(0.0), PayoffDistribution.from_weights(
+        [0.0, 0.3, 0.6, 1.0], [0.1, 0.2, 0.3, 0.4]), LevyLaw.poisson(20.0)), 0.95, 7, id="four-atoms"),
+    # the first atom 1e-4 after t sets the scan spacing: about 10000 points
+    _scan_case(20.0, 0.5, 0.9, DefaultTimeLaw.atoms([0.9001, 0.97], [0.5, 0.5]), 15, id="atom-just-after-t"),
 ])
-def test_option_scan_finds_every_sign_change(monkeypatch, lam, sigma, t, law, count):
+def test_option_scan_finds_every_sign_change(monkeypatch, model, t, count):
     found = []
 
     def spy(g, lo, hi, step, points=()):
@@ -238,8 +252,7 @@ def test_option_scan_finds_every_sign_change(monkeypatch, lam, sigma, t, law, co
         return ends
 
     monkeypatch.setattr(pricing, "positive_intervals", spy)
-    m = _lattice_model(lam, sigma, law)
-    (option_value if law is None else default_pricing.option_value_default)(m, t, 0.5)
+    (option_value if model.default_law is None else default_pricing.option_value_default)(model, t, 0.5)
     assert found == [count]
 
 
@@ -364,6 +377,17 @@ def test_bridge_levy_density_over_bridge_lengths(levy):
     for (i, j), v in np.ndenumerate(vals):
         assert v == bridge_levy_density(m, 0.5, float(xs[i, 0]), float(ss[j]), 1.0, 0.25, DEFAULT_QUADRATURE)
     assert bridge_levy_density(m, 0.5, np.zeros(0), 0.3, 1.0, 0.25, DEFAULT_QUADRATURE).shape == (0,)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])
+def test_bridge_levy_density_blocks_move_no_bit(levy):
+    # 5000 observations x 2 atoms span five blocks of elements; calls on uneven pieces give the same bits
+    m = _model(levy=levy)
+    xs, hs = np.linspace(-3.0, 4.0, 5000), np.array([[0.0], [1.0]])
+    vals = bridge_levy_density(m, 0.5, xs, 0.5, hs, 0.5, DEFAULT_QUADRATURE)
+    cuts = [0, 1, 1500, 1501, 3333, 5000]
+    pieces = [bridge_levy_density(m, 0.5, xs[a:b], 0.5, hs, 0.5, DEFAULT_QUADRATURE) for a, b in zip(cuts, cuts[1:])]
+    np.testing.assert_array_equal(vals, np.concatenate(pieces, axis=1))
 
 
 @pytest.mark.parametrize("rate", [1.0, 7.0])

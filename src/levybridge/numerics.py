@@ -23,6 +23,9 @@ REQUEST_MARGIN = 0.25
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _EPS = np.finfo(float).eps
+# every error estimate is at least this times the integral of |f|: a goal of REQUEST_MARGIN * rel_tol times it
+# is out of reach below rel_tol = _ROUNDOFF / REQUEST_MARGIN, about 4.4e-14
+_ROUNDOFF = 50.0 * _EPS
 # elements of the largest node array handed to an integrand in one call
 _MAX_TEMPORARY = 1 << 18
 _MAX_ROUNDS = 60
@@ -56,6 +59,8 @@ class Quadrature:
     def __post_init__(self):
         if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):  # a nan fails too
             raise ValueError("tolerances must be positive and finite")
+        if self.rel_tol < _ROUNDOFF / REQUEST_MARGIN:  # no integral could meet it
+            raise ValueError(f"rel_tol {self.rel_tol:.3g} is below the roundoff floor {_ROUNDOFF / REQUEST_MARGIN:.3g}")
 
     def scaled(self, factor: float) -> "Quadrature":
         return Quadrature(self.abs_tol * factor, self.rel_tol * factor)
@@ -250,7 +255,7 @@ class _Panels:
         scaled = (asc > 0.0) & ~head
         ratio = 200.0 * diff / np.where(scaled, asc, 1.0)
         err = np.where(scaled, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), diff)
-        self.val, self.err, self.mag = val, np.maximum(err, 50.0 * _EPS * mag), mag
+        self.val, self.err, self.mag = val, np.maximum(err, _ROUNDOFF * mag), mag
 
     def divisible(self) -> np.ndarray:
         """Whether the halves of each panel's interval would still have distinct nodes."""
@@ -425,7 +430,7 @@ def _poisson_sum(f, mu, shape: tuple, points, goal):
         unseen = (mag == 0.0) & (stop < reach) & (pmf(stop[..., None] - 1.0)[..., 0] > 0.0)
         grow = ((tail > goal(total, mag)) | unseen) & (stop <= _MAX_LATTICE)
         if not np.any(grow):
-            return total, np.maximum(tail, 50.0 * _EPS * mag)  # as for the panels, a roundoff floor
+            return total, np.maximum(tail, _ROUNDOFF * mag)  # as for the panels
         done, stop = stop, np.where(grow, 2.0 * stop, stop)
 
 

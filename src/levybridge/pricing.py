@@ -72,7 +72,8 @@ def bridge_levy_density(model: MarketModel, t: float, x, s, h, k: float,
     noise law.  This is the one likelihood kernel of both models: the
     maturity model is s = T - t, k = t/T, and the default-time model is
     s = tau - t, k = mu*t, where s keeps its precision however close tau
-    comes to t.  x, s and the payoff h may be arrays that broadcast
+    comes to t; psi is three calls of it (``transition_density_psi``).
+    x, s and the payoff h may be arrays that broadcast
     together; the result then has their broadcast shape, and each element
     has its own variance and law time.  With the payoff atoms on a leading
     axis of h (see ``_atom_axis``), one call gives every atom's likelihood.
@@ -349,63 +350,34 @@ def transition_density_psi(model: MarketModel, t: float, u: float, x: float, y,
                            q: Quadrature = DEFAULT_QUADRATURE):
     """Conditional density at y of the noise process at time u given value x at t.
 
-    The numerator integrates, over the Levy increment y1 on (T-u, T-t] and the
-    terminal-piece value y2 at T-u, the Gaussian bridge transition from
-    x - (t/T)(y1+y2) to y - (u/T) y2 times the density of the time-t value;
-    the denominator is the unconditional density of x, bridge_levy_density
-    at h = 0.  The inner quadrature variable is the one with the smaller law
-    time; the tolerance budget is split 90/10 between inner and outer.
+    By Bayes' rule psi is the density of y at u times the density of x at t
+    given y at u, over the density of x at t.  Given y at u, the value at t
+    is a Gaussian bridge from 0 to y over [0, u] plus t/T times the Levy
+    increment on (T-u, T-t], whatever the terminal piece at T-u: the
+    Markov property that pinning by the time-reversed Levy process keeps.
+    So the three factors are likelihood kernels, bridge_levy_density with
+    h = 0 at (u, y, T-u, u/T), at (t, x - (t/u) y, u-t, t/T) and, below,
+    at (t, x, T-t, t/T), and psi has no nested integral.  (The nested form
+    integrates the bridge transition from x - (t/T)(y1+y2) to y - (u/T) y2
+    against the increment y1 and the terminal piece y2; the y1 y2 term and
+    the minimum of its Gaussian exponent are exactly 0, and it equals this
+    product at every (y1, y2).)  Each factor of the numerator is resolved
+    relative to itself to half of q.rel_tol, so their relative errors add
+    up to it.
 
     y may be an array: the result is a float for a scalar y and an array of
-    y's shape otherwise.  The outer integral runs over every y at once; the
-    inner one runs once per distinct pair of y and outer node in a round,
-    in blocks of at most 2048 pairs (``in_blocks``), so the unused slots of
-    an outer element, which all hold one node, cost one inner integral
-    between them.  The denominator, which does not depend on y, is computed
-    once, first: a vanishing density of x raises ArithmeticError before the
-    numerator runs.
+    y's shape otherwise.  The denominator, which does not depend on y, is
+    computed once, first: a vanishing density of x raises ArithmeticError
+    before the numerator runs.  Each factor then makes one engine call per
+    block of at most 2048 y values (``in_blocks``), three calls in all for
+    a table of up to 2048 points.
     """
     T = model.maturity
     if not 0.0 < t < u < T:
         raise ValueError("need 0 < t < u < T")
-    k = t / T
-    den = bridge_levy_density(model, t, x, T - t, 0.0, k, q)
+    den = bridge_levy_density(model, t, x, T - t, 0.0, t / T, q)
     if not 0.0 < den < np.inf:
         raise ArithmeticError("density of the observation vanished: x too deep in the tails")
-    y = np.asarray(y, dtype=float)
-    law = model.levy
-    vt = t * (T - t) / T
-    bridge_var = (T - u) * (u - t) / (T - t)
-    shrink = (T - u) / (T - t)
-    s_inc = u - t
-    s_end = T - u
-
-    # the inner variable z is the one with the smaller law time, o the outer one; only y2 carries the
-    # u/T term, whose coefficient is 0.0 on the other variable
-    if s_inc <= s_end:  # z = y1, o = y2
-        s_inner, s_outer, c_o, c_z = s_inc, s_end, u / T, 0.0
-    else:  # z = y2, o = y1
-        s_inner, s_outer, c_o, c_z = s_end, s_inc, 0.0, u / T
-
-    def core(z, o, y):
-        mean_t = k * (z + o)
-        return (gauss_density(bridge_var, y - c_o * o - c_z * z, shrink * (x - mean_t))
-                * gauss_density(vt, x, mean_t))
-
-    def inner(y, o):
-        # core is a product of Gaussians in z, exp(-(d_i + c_i z)^2 / 2 V_i)
-        d1, c1, d2, c2 = y - c_o * o - shrink * x + shrink * k * o, shrink * k - c_z, x - k * o, -k
-        prec = c1 * c1 / bridge_var + c2 * c2 / vt
-        centre = -(c1 * d1 / bridge_var + c2 * d2 / vt) / prec
-        pts = centre[..., None] + GAUSS_BREAKS / np.sqrt(prec)
-        return integrate_levy(lambda z: core(z, o[:, None], y[:, None]), law, s_inner, q.scaled(0.9), points=pts)
-
-    def outer_f(z):
-        ys, z = np.broadcast_arrays(y[..., None], z)
-        # the distinct (y, z) pairs, as complex numbers y + iz
-        pairs, at = np.unique(ys.ravel() + 1j * z.ravel(), return_inverse=True)
-        vals = in_blocks(lambda b: inner(pairs[b].real, pairs[b].imag), pairs.size)
-        return vals[at].reshape(z.shape)
-
-    num = integrate_levy(outer_f, law, np.broadcast_to(s_outer, y.shape), q.scaled(0.1))
-    return num / den
+    y, half = np.asarray(y, dtype=float), q.scaled(0.5)
+    return (bridge_levy_density(model, u, y, T - u, 0.0, u / T, half)
+            * bridge_levy_density(model, t, x - (t / u) * y, u - t, 0.0, t / T, half) / den)

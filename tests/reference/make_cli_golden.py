@@ -17,7 +17,9 @@ tail masses, with no integral over x: each moved by about 5e-12, to within
 1e-13 relative of the old route at 100 times tighter tolerances.  The
 option case of the exponential gamma default model was added from the code
 before the likelihood kernel, the option scan and psi split their engine
-calls into blocks of elements.
+calls into blocks of elements.  The Poisson psi case was added from the
+nested-quadrature psi, before its numerator became a product of two
+one-dimensional integrals.
 
 It runs only the cases the table lacks and leaves every existing entry
 byte-identical: a rerun can move an existing entry in its last digits, inside
@@ -68,6 +70,8 @@ CASES = [
     ("price-atom-default", "atom-default", ["price", "--t", "0.5", "--x", "0.4"]),
     ("price-uniform-default-gamma", "uniform-default-gamma", ["price", "--t", "0.5", "--x", "0.4"]),
     ("option-uniform-default-poisson", "uniform-default-poisson", ["option", "--t", "0.5", "--K", "0.3"]),
+    ("density-psi-poisson", "poisson", ["density", "--which", "psi", "--t", "0.3", "--u", "0.6",
+                                        "--x", "0.2", "--points", "5"]),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
-from levybridge import default_pricing
+from levybridge import default_pricing, laws
 from levybridge.default_pricing import (DefaultQuote, binary_bond_price_default,
                                         bond_price_default, default_indicator,
                                         likelihood_q_kappa, option_value_default,
@@ -16,7 +16,7 @@ from levybridge.default_pricing import (DefaultQuote, binary_bond_price_default,
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
 from levybridge.numerics import (DEFAULT_QUADRATURE, Quadrature, QuadratureError, gamma_density,
-                                 gauss_density, integrate_levy, poisson_pmf)
+                                 gauss_density, integrate_levy, integrate_panels, poisson_pmf)
 from levybridge.pricing import bayes_posterior, bond_price, bridge_levy_density, x_bracket
 
 GAMMA = LevyLaw.standard_gamma()
@@ -299,13 +299,18 @@ def test_binary_default_route_with_one_vanished_likelihood(x, revealed):
     assert binary_bond_price_default(m, 0.5, x) == revealed
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_posterior_tau_revealed_branch_uses_caller_tolerance():
+def test_posterior_tau_revealed_branch_uses_caller_tolerance(monkeypatch):
+    # the Quadrature of every default-time integral, as it reaches the panel engine
     m = _model(law=DefaultTimeLaw.exponential_conditioned(0.1, 1.0))
-    unreachable = Quadrature(rel_tol=1e-18, abs_tol=1e-300)
-    for x in (0.5, 0.3):  # on the h = 1 ray, then off the rays
-        with pytest.raises(QuadratureError):
-            posterior_tau_payoff(m, 0.5, x, lambda r, h: r, unreachable)
+    q = Quadrature(rel_tol=1e-7, abs_tol=1e-10)
+    seen = []
+    monkeypatch.setattr(laws, "integrate_panels", lambda f, breaks, tol, args=(): seen.append(tol)
+                        or integrate_panels(f, breaks, tol, args))
+    posterior_tau_payoff(m, 0.5, 0.5, lambda r, h: r, q)  # on the h = 1 ray
+    assert seen == [q]
+    seen.clear()
+    posterior_tau_payoff(m, 0.5, 0.3, lambda r, h: r, q)  # off the rays: the likelihood, then the numerator
+    assert [tol.rel_tol for tol in seen] == [q.rel_tol, q.rel_tol]
 
 
 @pytest.mark.parametrize("law, bad", [(TAU_LATE, np.nan), (TAU_LATE, np.inf),

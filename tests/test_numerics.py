@@ -138,11 +138,25 @@ def test_poisson_series_tail_rule():
     assert val == pytest.approx(20.0 + 400.0, rel=1e-8)
 
 
-def test_integrate_levy_unreachable_tolerance_raises():
-    q = Quadrature(abs_tol=1e-300, rel_tol=1e-18)
-    for law in (GAMMA, POIS):
-        with pytest.raises(QuadratureError):
-            integrate_levy(lambda y: np.exp(-y), law, 0.5, q)
+def test_integrate_levy_unresolved_integrand_raises():
+    # a gamma integrand oscillating faster than the panel cap resolves, and a Poisson summand whose peak lies
+    # past the lattice cap
+    with pytest.raises(QuadratureError):
+        integrate_levy(lambda y: np.sin(1e8 * y), GAMMA, 0.5)
+    with pytest.raises(QuadratureError):
+        integrate_levy(lambda n: np.exp(0.01 * (n - 5e6)), POIS, 5e6)
+
+
+def test_quadrature_rejects_rel_tol_below_the_roundoff_floor():
+    # every error estimate is at least 50 eps times the integral of |f|, and the goal a quarter of rel_tol times it
+    floor = 200.0 * np.finfo(float).eps
+    with pytest.raises(ValueError, match="below the roundoff floor 4.44e-14"):
+        Quadrature(abs_tol=1e-300, rel_tol=1e-18)
+    with pytest.raises(ValueError, match="roundoff floor"):
+        Quadrature(rel_tol=floor * (1.0 - 1e-12))
+    assert Quadrature(rel_tol=floor).rel_tol == floor
+    assert integrate_levy(lambda y: np.exp(-y), GAMMA, 0.5, Quadrature(rel_tol=floor)) == pytest.approx(2.0 ** -0.5,
+                                                                                                        rel=1e-13)
 
 
 @pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])

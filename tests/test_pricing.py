@@ -1,3 +1,8 @@
+import math
+import random
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -317,6 +322,137 @@ def test_psi_poisson_normalization_loose():
     val, _ = integrate.quad(lambda y: transition_density_psi(m, 0.3, 0.6, 0.4, y),
                             -3.0, 4.0, epsabs=1e-8, epsrel=1e-7, limit=200)
     assert val == pytest.approx(1.0, abs=1e-5)
+
+
+def test_psi_nested_integrand_is_the_product_of_two_kernels_exactly():
+    # psi's nested integrand, the bridge transition from x - k (y1 + y2) to y - (u/T) y2 times the density of
+    # x around k (y1 + y2), equals in exact arithmetic the density of y around (u/T) y2 times that of x around
+    # (t/u) y + k y1: the Gaussian exponents and the variance products agree, and the y1 y2 term vanishes
+    rng = random.Random(7)
+
+    def rational():
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+    for _ in range(500):
+        T = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        t, u = sorted(T * Fraction(rng.randint(1, 10 ** 9 - 1), 10 ** 9) for _ in range(2))
+        if t == u:
+            continue
+        x, y, y1, y2 = (rational() for _ in range(4))
+        k, vt, bv, shrink = t / T, t * (T - t) / T, (T - u) * (u - t) / (T - t), (T - u) / (T - t)
+        p1, p2 = shrink * k, shrink * k - u / T
+        assert p1 * p2 / bv + k * k / vt == 0
+        d1, d2 = y - u / T * y2 - shrink * (x - k * (y1 + y2)), x - k * (y1 + y2)
+        e1, e2 = y - u / T * y2, x - t / u * y - k * y1
+        v1, v2 = u * (T - u) / T, t * (u - t) / u
+        assert d1 * d1 / bv + d2 * d2 / vt == e1 * e1 / v1 + e2 * e2 / v2
+        assert bv * vt == v1 * v2
+
+
+# (t, u, x, y): a wide bridge, a late narrow one, one with u close to t, and a tail value of about 2e-26
+_PSI_POINTS = [(0.3, 0.6, 0.2, 0.3), (0.01, 0.99, -0.2, 0.5), (0.8, 0.95, 1.0, 1.0), (0.1, 0.8, 0.2, 1.5),
+               (0.5, 0.51, 0.4, 0.5), (0.5, 0.51, 0.4, 1.5)]
+
+
+def _psi_parts(t, u, x, y, T=1.0):
+    """psi's nested integrand at scalar (y1, y2) and the denominator's Gaussian factor, from the bridge
+    transition, with the centre and spread of the integrand's Gaussian in y1 at fixed y2 and in y2 of its y1
+    integral."""
+    k, vt, bv, shrink = t / T, t * (T - t) / T, (T - u) * (u - t) / (T - t), (T - u) / (T - t)
+    # the integrand's exponent is minus half the squared norm of rows @ (y1, y2) - rhs
+    rows = np.array([[shrink * k, shrink * k - u / T], [-k, -k]]) / np.sqrt([[bv], [vt]])
+    rhs = -np.array([y - shrink * x, x]) / np.sqrt([bv, vt])
+    a, b, hess = rows[:, 0], rows[:, 1], rows.T @ rows
+
+    def joint(y1, y2):
+        d1, d2 = y - u / T * y2 - shrink * (x - k * (y1 + y2)), x - k * (y1 + y2)
+        return math.exp(-d1 * d1 / (2.0 * bv) - d2 * d2 / (2.0 * vt)) / (2.0 * math.pi * math.sqrt(bv * vt))
+
+    def inner_gauss(y2):
+        return float(a @ (rhs - b * y2) / (a @ a)), float(a @ a) ** -0.5
+
+    outer_gauss = np.linalg.lstsq(rows, rhs, rcond=None)[0][1], (hess[1, 1] - hess[0, 1] ** 2 / hess[0, 0]) ** -0.5
+    def den_f(z):
+        return math.exp(-(x - k * z) ** 2 / (2.0 * vt)) / math.sqrt(2.0 * math.pi * vt)
+
+    return joint, inner_gauss, outer_gauss, den_f
+
+
+def _gamma_quad(f, a, c, sd):
+    """Integral of scalar f against the gamma(a) density by scipy quad: the y^(a-1) head by weight 'alg'
+    at 0, the body split at the Gaussian centre c and c +- 4, 8 sd, and an open tail."""
+    pts = c + sd * np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
+    head = min(1.0, 0.5 * pts[pts > 0.0].min()) if np.any(pts > 0.0) else 1.0
+    end = max(40.0 + 2.0 * a, c + 12.0 * sd)
+    tol = dict(epsabs=0.0, epsrel=1e-10, limit=200)
+
+    def dens(z):
+        return f(z) * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a))
+
+    total = integrate.quad(lambda z: f(z) * math.exp(-z - math.lgamma(a)), 0.0, head, weight="alg",
+                           wvar=(a - 1.0, 0.0), **tol)[0]
+    total += integrate.quad(dens, head, end, points=[p for p in pts if head < p < end] or None, **tol)[0]
+    return total + integrate.quad(dens, end, np.inf, **tol)[0]
+
+
+def _psi_nested_gamma(t, u, x, y, T=1.0):
+    joint, inner_gauss, outer_gauss, den_f = _psi_parts(t, u, x, y, T)
+
+    def inner(y2):
+        return _gamma_quad(lambda y1: joint(y1, y2), u - t, *inner_gauss(y2))
+
+    return _gamma_quad(inner, T - u, *outer_gauss) / _gamma_quad(den_f, T - t, x * T / t, math.sqrt(T * (T - t) / t))
+
+
+def _psi_lattice_poisson(t, u, x, y, T=1.0):
+    joint, _, _, den_f = _psi_parts(t, u, x, y, T)
+    n = range(100)
+    num = math.fsum(poisson_pmf(u - t, 1.0, n1) * poisson_pmf(T - u, 1.0, n2) * joint(n1, n2) for n1 in n for n2 in n)
+    return num / math.fsum(poisson_pmf(T - t, 1.0, n1) * den_f(n1) for n1 in n)
+
+
+@pytest.mark.parametrize("levy, reference", [(GAMMA, _psi_nested_gamma), (POIS, _psi_lattice_poisson)],
+                         ids=["gamma-nested-quad", "poisson-double-sum"])
+@pytest.mark.parametrize("t, u, x, y", _PSI_POINTS)
+def test_psi_matches_a_route_without_the_product_form(levy, reference, t, u, x, y):
+    ref = reference(t, u, x, y)
+    assert ref >= 1e-30
+    assert transition_density_psi(_model(levy=levy), t, u, x, y) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])
+def test_psi_engine_calls(monkeypatch, levy):
+    # the denominator, then one call per factor for each block of at most 2048 y values
+    calls = []
+    monkeypatch.setattr(pricing, "integrate_levy", lambda f, *a, **k: calls.append(f) or integrate_levy(f, *a, **k))
+    transition_density_psi(_model(levy=levy), 0.3, 0.6, 0.2, np.linspace(-1.0, 3.0, 5))
+    assert len(calls) == 3
+    calls.clear()
+    transition_density_psi(_model(levy=levy), 0.3, 0.6, 0.2, np.linspace(-1.0, 3.0, 2049))
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])
+def test_psi_table_equals_its_pieces(levy):
+    m = _model(levy=levy)
+    ys = np.linspace(-1.5, 6.0, 5000)
+    whole = transition_density_psi(m, 0.3, 0.6, 0.2, ys)
+    cuts = [0, 1, 700, 2047, 2049, 4100, 5000]
+    pieces = [transition_density_psi(m, 0.3, 0.6, 0.2, ys[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(whole, np.concatenate(pieces))
+
+
+def test_psi_table_memory_is_bounded():
+    # each factor's engine calls take at most 2048 y values
+    ys = np.linspace(-2.0, 12.0, 20000)
+    tracemalloc.start()
+    try:
+        vals = transition_density_psi(_model(), 0.01, 0.99, -0.2, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals) & (vals >= 0.0))
+    assert peak < 100 * 2**20
 
 
 def test_posterior_mean_between_atoms():

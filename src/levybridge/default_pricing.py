@@ -229,7 +229,7 @@ def option_value_default(model: MarketModel, t: float, strike: float,
     p_tT = model.discount(t)
     revealed = law.cdf(t) * sum(max(p_tT * h - strike, 0.0) * p
                                 for h, p in zip(model.payoff.support, model.payoff.probs))
-    return model.discount(0.0, t) * (revealed + survival)
+    return float(model.discount(0.0, t) * (revealed + survival))
 
 
 def _require_default_law(model: MarketModel):

@@ -243,10 +243,12 @@ class _Panels:
     def rule(self, g: np.ndarray) -> None:
         """Value, error estimate and integral of |f| per entry from g = f * node mass."""
         # each sum reduces one row against its entry's weights, whose bits then do not depend on the
-        # other rows, as those of a BLAS matrix-vector product do
-        w_hi, w_lo = np.tile(_GK_WK, (g.shape[0], 1)), np.tile(_GK_WG, (g.shape[0], 1))
+        # other rows, as those of a BLAS matrix-vector product do; einsum broadcasts one row of Kronrod
+        # weights over every entry, and a row per entry is built only where heads need their Jacobi weights
+        w_hi, w_lo = _GK_WK[None], _GK_WG[None]
         head = self.kind == _HEAD
         if np.any(head):
+            w_hi, w_lo = w_hi.repeat(g.shape[0], axis=0), w_lo.repeat(g.shape[0], axis=0)
             w_hi[head], w_lo[head] = self.measure.w_hi[self.law[head]], self.measure.w_lo[self.law[head]]
         val, mag = np.einsum("ij,ij->i", g, w_hi), np.einsum("ij,ij->i", np.abs(g), w_hi)
         diff = np.abs(val - np.einsum("ij,ij->i", g, w_lo))

@@ -304,13 +304,17 @@ def option_integral(model: MarketModel, t: float, strike: float, kernel, k: floa
     kernel(h, x, factor) is bridge_levy_density with Levy coefficient k (see
     x_bracket), or its integral over default times, with Gaussian factor
     ``factor``; it gets every payoff atom on a leading axis of h and returns
-    one row per atom.  g is scanned at a quarter of the narrowest bridge's
-    standard deviation, sqrt(t (e - t) / e), plus the ``rays``, where the
-    kernel has cusps.  Each interval (a, b] where g > 0 adds every atom's
-    mass there, from one kernel call per side with a Gaussian distribution
-    function as its factor: a mass below its law's mean, sigma t h + k
-    E[X_(e-t)], is a difference of lower tails and one above it of upper
-    tails, so that none is a difference of two values near 1.
+    one row per atom.  When every coefficient p_h (P_t^T h - K) is <= 0, g
+    is nowhere positive and the value is 0.0 with no kernel call; when
+    every one is >= 0, g is nowhere negative and all of x_bracket is the
+    one interval, as the scan would return it.  Otherwise g is scanned at
+    a quarter of the narrowest bridge's standard deviation,
+    sqrt(t (e - t) / e), plus the ``rays``, where the kernel has cusps.
+    Each interval (a, b] where g > 0 adds every atom's mass there, from
+    one kernel call per side that holds an interval, with a Gaussian
+    distribution function as its factor: a mass below its law's mean,
+    sigma t h + k E[X_(e-t)], is a difference of lower tails and one above
+    it of upper tails, so that none is a difference of two values near 1.
     """
     if not 0.0 < t < model.maturity:
         raise ValueError("need 0 < t < T")
@@ -322,13 +326,20 @@ def option_integral(model: MarketModel, t: float, strike: float, kernel, k: floa
     def g(x):
         return sum(c * row for c, row in zip(coef, kernel(_atom_axis(support, x), x, gauss_density)))
 
-    ends = positive_intervals(g, *x_bracket(model, t, k), np.sqrt(t * (e - t) / e) / 4.0, rays)
+    if np.all(coef <= 0.0):
+        return 0.0
+    lo, hi = x_bracket(model, t, k)
+    if np.all(coef >= 0.0):
+        ends = np.array([[lo, hi]])
+    else:
+        ends = positive_intervals(g, lo, hi, np.sqrt(t * (e - t) / e) / 4.0, rays)
     h, x = np.broadcast_arrays(support[:, None, None], ends)
     up = x[..., 0] >= (model.sigma * t * support + k * model.levy.mean(e - t))[:, None]
     mass = np.zeros(up.shape)
     for side, sel in ((1.0, ~up), (-1.0, up)):
-        tails = kernel(h[sel], x[sel], lambda v, z: ndtr(side * z / np.sqrt(v)))
-        mass[sel] = side * (tails[:, 1] - tails[:, 0])
+        if np.any(sel):
+            tails = kernel(h[sel], x[sel], lambda v, z: ndtr(side * z / np.sqrt(v)))
+            mass[sel] = side * (tails[:, 1] - tails[:, 0])
     return float(coef @ mass.sum(axis=1))
 
 

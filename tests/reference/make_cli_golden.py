@@ -19,7 +19,10 @@ option case of the exponential gamma default model was added from the code
 before the likelihood kernel, the option scan and psi split their engine
 calls into blocks of elements.  The Poisson psi case was added from the
 nested-quadrature psi, before its numerator became a product of two
-one-dimensional integrals.
+one-dimensional integrals.  The two K = 0 option cases (the second the
+ray-scan path under a default-time density) and the atom-default option with
+a strike above P(t, T) max h, worth 0, were added from the code that still
+scanned g when every strike-adjusted coefficient has one sign.
 
 It runs only the cases the table lacks and leaves every existing entry
 byte-identical: a rerun can move an existing entry in its last digits, inside
@@ -72,6 +75,9 @@ CASES = [
     ("option-uniform-default-poisson", "uniform-default-poisson", ["option", "--t", "0.5", "--K", "0.3"]),
     ("density-psi-poisson", "poisson", ["density", "--which", "psi", "--t", "0.3", "--u", "0.6",
                                         "--x", "0.2", "--points", "5"]),
+    ("option-gamma-K0", "gamma", ["option", "--t", "0.5", "--K", "0"]),
+    ("option-exp-default-gamma-K0", "exp-default-gamma", ["option", "--t", "0.5", "--K", "0"]),
+    ("option-atom-default-above-hull", "atom-default", ["option", "--t", "0.5", "--K", "1.2"]),
 ]
 
 

@@ -221,7 +221,9 @@ def test_kappa_reduces_to_eta_model():
 
 def test_option_default_zero_strike():
     m = _model()
-    assert option_value_default(m, 0.5, 0.0) == pytest.approx(0.5, abs=1e-6)
+    value = option_value_default(m, 0.5, 0.0)
+    assert type(value) is float  # as option_value's; numpy.float64 is a subclass of float
+    assert value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_option_default_all_defaults_before_exercise():

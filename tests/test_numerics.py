@@ -173,13 +173,18 @@ def test_integrate_levy_one_integral_per_element(law):
 
 @pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
 def test_integrate_levy_law_time_per_element(law):
-    centres, times = np.array([[-1.0, 0.5], [2.0, 7.5]]), np.array([[1e-14, 0.02], [0.7, 3.0]])
-    vals = integrate_levy(lambda y: gauss_density(0.3, centres[..., None], y), law, times,
-                          points=centres[..., None] + np.array([-3.0, 0.0, 3.0]))
-    assert vals.shape == centres.shape
-    for c, t, v in zip(centres.ravel(), times.ravel(), vals.ravel()):
-        single = integrate_levy(lambda y: gauss_density(0.3, c, y), law, t, points=c + np.array([-3.0, 0.0, 3.0]))
-        assert v == single
+    centres = np.array([[-1.0, 0.5], [2.0, 7.5]])
+    # the last two inputs put a wide Gaussian beside a narrow one at 3, which splits more panels than the wide
+    # one and keeps splitting after it converged, at one law time and at two
+    narrow = (np.array([0.3, 0.01]), np.array([0.5, 3.0]), np.array([[0.2, 0.5, 1.5], [1.0, 2.0, 5.0]]))
+    for var, centre, times, pts in [(np.full(centres.shape, 0.3), centres, np.array([[1e-14, 0.02], [0.7, 3.0]]),
+                                     centres[..., None] + np.array([-3.0, 0.0, 3.0])),
+                                    (*narrow[:2], 0.7, narrow[2]), (*narrow[:2], np.array([0.7, 3.0]), narrow[2])]:
+        vals = integrate_levy(lambda y: gauss_density(var[..., None], centre[..., None], y), law, times, points=pts)
+        assert vals.shape == centre.shape
+        for v, c, t, pt, val in zip(var.ravel(), centre.ravel(), np.broadcast_to(times, centre.shape).ravel(),
+                                    pts.reshape(-1, 3), vals.ravel()):
+            assert val == integrate_levy(lambda y: gauss_density(v, c, y), law, t, points=pt)
 
 
 @pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])

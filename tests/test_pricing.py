@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -259,6 +260,83 @@ def test_option_scan_finds_every_sign_change(monkeypatch, model, t, count):
     monkeypatch.setattr(pricing, "positive_intervals", spy)
     (option_value if model.default_law is None else default_pricing.option_value_default)(model, t, 0.5)
     assert found == [count]
+
+
+# one model per option route: the maturity model under both noise laws, and a default law with a density
+# (whose scan adds the payoff rays) and with atoms
+_OPTION_ROUTES = {
+    "gamma": _model(),
+    "poisson": _model(levy=POIS),
+    "exponential-default": MarketModel(1.0, 1.0, 0.5, RateCurve.flat(0.03), BINARY, GAMMA,
+                                       default_law=DefaultTimeLaw.exponential_conditioned(0.5, 1.0)),
+    "atom-default": MarketModel(1.0, 1.0, 0.5, RateCurve.flat(0.0), BINARY, GAMMA,
+                                default_law=DefaultTimeLaw.atoms([0.7, 0.8], [0.5, 0.5], horizon=1.0)),
+}
+_PAYOFF_ABOVE_ZERO = PayoffDistribution.from_weights([0.4, 1.0], [0.5, 0.5])
+
+
+def _option_route(model):
+    return option_value if model.default_law is None else default_pricing.option_value_default
+
+
+def _spy_option_integral(monkeypatch):
+    """Record the arguments of each option_integral call of either route, and the size of each kernel call's x."""
+    calls, sizes, real = [], [], pricing.option_integral
+
+    def spy(model, t, strike, kernel, k, e, rays=()):
+        def counted(h, x, factor):
+            sizes.append(np.size(x))
+            return kernel(h, x, factor)
+
+        calls.append((model, t, strike, kernel, k, e, rays))
+        return real(model, t, strike, counted, k, e, rays)
+
+    monkeypatch.setattr(pricing, "option_integral", spy)
+    monkeypatch.setattr(default_pricing, "option_integral", spy)
+    return calls, sizes
+
+
+@pytest.mark.parametrize("route", sorted(_OPTION_ROUTES))
+@pytest.mark.parametrize("strike", ["at-hull", 1.2])
+def test_option_above_the_payoff_hull_is_zero_without_a_density_call(monkeypatch, route, strike):
+    # every strike-adjusted coefficient p_h (P(t,T) h - K) is <= 0, so g is nowhere positive
+    model, calls = _OPTION_ROUTES[route], []
+    strike = model.discount(0.5) * 1.0 if strike == "at-hull" else strike
+    for module in (pricing, default_pricing):
+        monkeypatch.setattr(module, "bridge_levy_density", lambda *a, **k: calls.append(a))
+    value = _option_route(model)(model, 0.5, strike)
+    assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("route", sorted(_OPTION_ROUTES))
+@pytest.mark.parametrize("payoff, strike", [(BINARY, 0.0), (_PAYOFF_ABOVE_ZERO, 0.2)], ids=["binary-K0", "0.4-1-K0.2"])
+def test_option_below_the_payoff_hull_does_not_scan(monkeypatch, route, payoff, strike):
+    # every coefficient is >= 0, so g > 0 wherever it is not 0, and the scan would return the whole bracket
+    model = dataclasses.replace(_OPTION_ROUTES[route], payoff=payoff)
+    calls, _ = _spy_option_integral(monkeypatch)
+    monkeypatch.setattr(pricing, "positive_intervals", lambda *a: pytest.fail("the option scanned g"))
+    _option_route(model)(model, 0.5, strike)
+    (model, t, strike, kernel, k, e, rays), = calls
+    support = model.payoff.support
+    coef = (model.discount(t) * support - strike) * model.payoff.probs
+
+    def g(x):
+        return sum(c * row for c, row in zip(coef, kernel(pricing._atom_axis(support, x), x, gauss_density)))
+
+    lo, hi = x_bracket(model, t, k)
+    assert np.array_equal(numerics.positive_intervals(g, lo, hi, np.sqrt(t * (e - t) / e) / 4.0, rays), [[lo, hi]])
+
+
+@pytest.mark.parametrize("route", sorted(_OPTION_ROUTES))
+@pytest.mark.parametrize("strike", [0.0, 0.3, 0.7, 1.2])
+def test_option_kernel_calls_are_never_empty(monkeypatch, route, strike):
+    # at K 0.3 and 0.7 the intervals where g > 0 can all start on one side of both atoms' means, so that one
+    # tail side holds no interval
+    model = _OPTION_ROUTES[route]
+    _, sizes = _spy_option_integral(monkeypatch)
+    _option_route(model)(model, 0.5, strike)
+    assert 0 not in sizes
 
 
 def test_price_quote_validation():

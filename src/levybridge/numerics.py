@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate, optimize
@@ -124,10 +125,6 @@ _GK_WG[1::2] = [0.129484966168869693270611432679082, 0.2797053914892766679014677
                 0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
                 0.129484966168869693270611432679082]
 _LINE, _HEAD, _TAIL = 0, 1, 2
-# the node of an unused slot in the node array of an integrand that holds its
-# elements in its closure, with no mass: a point of the gamma law's support, so
-# that an integrand of integrate_levy sees only points of its range
-_REST = 1.0
 
 
 @lru_cache(maxsize=32)
@@ -242,18 +239,15 @@ class _Panels:
 
     def rule(self, g: np.ndarray) -> None:
         """Value, error estimate and integral of |f| per entry from g = f * node mass."""
-        # each sum reduces one row against its entry's weights, whose bits then do not depend on the
-        # other rows, as those of a BLAS matrix-vector product do; einsum broadcasts one row of Kronrod
-        # weights over every entry, and a row per entry is built only where heads need their Jacobi weights
-        w_hi, w_lo = _GK_WK[None], _GK_WG[None]
+        # every row is summed against the one Kronrod row, and head rows again against their Jacobi rows; a row's
+        # sum, unlike one of a BLAS matrix-vector product, does not depend on the other rows
+        val, mag, diff = _row_sums(g, _GK_WK[None], _GK_WG[None])
+        # QUADPACK's scaling of the Kronrod-Gauss difference; a Jacobi head keeps the bare difference
+        asc = np.einsum("ij,ij->i", np.abs(g - val[:, None] / 2.0), _GK_WK[None])
         head = self.kind == _HEAD
         if np.any(head):
-            w_hi, w_lo = w_hi.repeat(g.shape[0], axis=0), w_lo.repeat(g.shape[0], axis=0)
-            w_hi[head], w_lo[head] = self.measure.w_hi[self.law[head]], self.measure.w_lo[self.law[head]]
-        val, mag = np.einsum("ij,ij->i", g, w_hi), np.einsum("ij,ij->i", np.abs(g), w_hi)
-        diff = np.abs(val - np.einsum("ij,ij->i", g, w_lo))
-        # QUADPACK's scaling of the Kronrod-Gauss difference; a Jacobi head keeps the bare difference
-        asc = np.einsum("ij,ij->i", np.abs(g - val[:, None] / 2.0), w_hi)
+            law = self.law[head]
+            val[head], mag[head], diff[head] = _row_sums(g[head], self.measure.w_hi[law], self.measure.w_lo[law])
         scaled = (asc > 0.0) & ~head
         ratio = 200.0 * diff / np.where(scaled, asc, 1.0)
         err = np.where(scaled, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), diff)
@@ -273,45 +267,39 @@ class _Panels:
         return tuple(np.bincount(self.elem, x, minlength=n) for x in (self.val, self.err, self.mag))
 
 
-def _evaluate(f, p: _Panels, shape: tuple, args=None) -> _Panels:
+def _row_sums(g: np.ndarray, w_hi, w_lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of g: its sum against w_hi, that of |g|, and its distance from its sum against w_lo."""
+    val = np.einsum("ij,ij->i", g, w_hi)
+    return val, np.einsum("ij,ij->i", np.abs(g), w_hi), np.abs(val - np.einsum("ij,ij->i", g, w_lo))
+
+
+class Nodes(NamedTuple):
+    """An integrand's argument: rows of nodes, or one row shared by every element, and each row's element."""
+
+    y: np.ndarray
+    elem: np.ndarray
+
+
+def _values(f, y: np.ndarray, elem: np.ndarray) -> np.ndarray:
+    """f at Nodes(y, elem) as one row of values per element of elem; an output of another shape raises ValueError."""
+    return np.broadcast_to(np.asarray(f(Nodes(y, elem)), dtype=float), (elem.size, y.shape[-1]))
+
+
+def _evaluate(f, p: _Panels) -> _Panels:
     """Fill in the rule on every entry of p, with as few calls of f as the temporary cap allows.
 
-    With ``args``, flat per-element arguments, f gets the entries' nodes as
-    rows of 15 and each argument at their elements as a column.  Otherwise f
-    holds its elements, of shape ``shape``, in its closure and gets one
-    element-major node array of that shape plus a node axis: the nodes of
-    each element's entries side by side, unused slots at ``_REST``.  Its
-    output must broadcast to that array's shape.
+    f gets the live entries' nodes as ``Nodes``: one row of 15 per entry,
+    and the entry's element, at most ``_MAX_TEMPORARY`` nodes per call.
     """
     y, mass = p.nodes()
-    if args is not None:
-        step = _MAX_TEMPORARY // 15
-        fy = np.concatenate([f(y[i:i + step], *(a[p.elem[i:i + step], None] for a in args))
-                             for i in range(0, y.shape[0], step)])
-    else:
-        # slot[e, j] is the entry in element e's j-th slot, -1 where unused
-        count = np.bincount(p.elem, minlength=int(np.prod(shape, dtype=int)))
-        order = np.argsort(p.elem, kind="stable")
-        slot = np.full((count.size, count.max(initial=0)), -1)
-        slot[p.elem[order], np.arange(order.size) - np.repeat(np.cumsum(count) - count, count)] = order
-        at, parts = [], []
-        width = max(1, _MAX_TEMPORARY // (15 * count.size))
-        for j in range(0, slot.shape[1], width):
-            cols = slot[:, j:j + width]
-            used, full = cols >= 0, shape + (15 * cols.shape[1],)
-            nodes = np.full(cols.shape + (15,), _REST)
-            nodes[used] = y[cols[used]]
-            out = np.broadcast_to(np.asarray(f(nodes.reshape(full)), dtype=float), full)
-            at.append(cols[used])
-            parts.append(out.reshape(cols.shape + (15,))[used])
-        at = np.concatenate(at)
-        p, mass, fy = p.take(at), mass[at], np.concatenate(parts)
+    step = _MAX_TEMPORARY // 15
+    fy = np.concatenate([_values(f, y[i:i + step], p.elem[i:i + step]) for i in range(0, y.shape[0], step)])
     with np.errstate(invalid="ignore"):
         p.rule(np.where(mass > 0.0, fy * mass, 0.0))
     return p
 
 
-def _refine(f, p: _Panels, shape: tuple, goal, args=None):
+def _refine(f, p: _Panels, shape: tuple, goal):
     """Bisect panels until every element's error estimate meets goal(val, mag).
 
     p holds every element's first panels, each element of ``shape`` its own.
@@ -319,13 +307,12 @@ def _refine(f, p: _Panels, shape: tuple, goal, args=None):
     than its share of the goal; an element that splits nothing leaves the
     store with its result.  Each element's panels, and so its result, do not
     depend on the other elements.  Every round, the first included, goes to
-    f as ``_evaluate`` passes it, with ``args``, flat per-element arguments,
-    when f takes them.  Returns value and error estimate per element.
+    f as ``_evaluate`` passes it.  Returns value and error estimate per element.
     """
     if p.elem.size == 0:
         return np.zeros(shape), np.zeros(shape)
-    p = _evaluate(f, p, shape, args)
-    n = int(np.prod(shape, dtype=int))
+    p = _evaluate(f, p)
+    n = math.prod(shape)
     val, err = np.zeros(n), np.zeros(n)
     for round_ in range(_MAX_ROUNDS + 1):
         v, e, m = p.totals(n)
@@ -338,17 +325,16 @@ def _refine(f, p: _Panels, shape: tuple, goal, args=None):
         val[leaves], err[leaves] = v[leaves], e[leaves]
         if not np.any(mark):
             break
-        p = p.take(stays[p.elem] & ~mark).join(_evaluate(f, p.take(mark).halves(), shape, args))
+        p = p.take(stays[p.elem] & ~mark).join(_evaluate(f, p.take(mark).halves()))
     return val.reshape(shape), err.reshape(shape)
 
 
 def _check(val, err, q: Quadrature, what: str) -> None:
-    val, err = np.broadcast_arrays(val, err)
-    bad = np.flatnonzero(~(err <= q.rel_tol * np.abs(val) + q.abs_tol))
-    if bad.size:
-        i = bad[0]
-        raise QuadratureError(f"{what} error estimate {err.flat[i]:.3e} exceeds tolerance "
-                              f"(value {val.flat[i]:.6e})")
+    ok = np.isfinite(val) & (err <= q.rel_tol * np.abs(val) + q.abs_tol)
+    if not np.all(ok):
+        v, e = (np.broadcast_to(a, ok.shape).flat[np.argmin(ok)] for a in (val, err))
+        raise QuadratureError(f"{what} error estimate {e:.3e} exceeds tolerance (value {v:.6e})" if np.isfinite(v)
+                              else f"{what} value {v} is not finite")
 
 
 def _result(val):
@@ -400,13 +386,14 @@ def _poisson_sum(f, mu, shape: tuple, points, goal):
     to n = 0 in lattice order, so an element's bits do not depend on the
     other elements' windows.
     """
-    log_mu, mean = np.log(mu)[..., None], mu[..., None]
+    log_mu, mean, elem = np.log(mu)[..., None], mu[..., None], np.arange(math.prod(shape))
 
     def pmf(n):
         return np.exp(n * log_mu - mean - gammaln(n + 1.0))
 
-    def terms(n):
-        return np.broadcast_to(f(n), shape + n.shape[-1:]) * pmf(n)
+    def terms(n):  # n is a lattice row shared by every element, or one row per element
+        rows = n if n.ndim == 1 else n.reshape(-1, n.shape[-1])
+        return _values(f, rows, elem).reshape(shape + n.shape[-1:]) * pmf(n)
 
     def add_blocks(acc, a):
         blocks = a.reshape(a.shape[:-1] + (a.shape[-1] // _BLOCK, _BLOCK)).sum(axis=-1)
@@ -425,7 +412,8 @@ def _poisson_sum(f, mu, shape: tuple, points, goal):
             with np.errstate(invalid="ignore"):
                 a = np.where((n >= done[..., None]) & (n < stop[..., None]), terms(n), 0.0)
             total, mag = add_blocks(total, a), add_blocks(mag, np.abs(a))
-        prev, end = np.moveaxis(np.abs(terms(stop[..., None] - np.array([2.0, 1.0]))), -1, 0)
+        last = np.abs(terms(stop[..., None] - np.array([2.0, 1.0])))
+        prev, end = last[..., 0], last[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = end / prev
             tail = np.where(end == 0.0, 0.0, np.where(rho < 1.0, end * rho / (1.0 - rho), np.inf))
@@ -438,19 +426,24 @@ def _poisson_sum(f, mu, shape: tuple, points, goal):
 
 def integrate_levy(f: Callable, law: LevyLaw, t,
                    q: Quadrature = DEFAULT_QUADRATURE, points=None):
-    """Integral of f(y) against the marginal law of X_t, for every element.
+    """Integral of f against the marginal law of X_t, for every element.
 
     The elements are t and ``points`` without its last axis, broadcast
     together; they are fixed before f is first called.  The law time t is a
     float or an array of times.  ``points`` holds break points of the
     integrand, as for ``scipy.integrate.quad``: k per element on its last
     axis, or one scalar.  Callers pass the Gaussian factor's centre plus
-    GAUSS_BREAKS times its standard deviation.  f is called with an array y
-    of nodes, nodes on the last axis and the elements on the leading axes
-    (or none, which then broadcast), and returns one value per node and
-    element, or a value that broadcasts to that; any other shape raises
-    ValueError.  The result has the elements' shape (a float when there are
-    none).
+    GAUSS_BREAKS times its standard deviation.  f gets one argument,
+    ``Nodes(y, elem)``, with only the nodes still needed: one row of 15 per
+    live (element, panel) entry under the gamma law; under the Poisson law
+    a lattice row shared by every element, or one row per element; the one
+    node 0 under the point law.  ``elem`` is each row's flat element index,
+    or every element in order for a shared row.  An integrand that depends
+    on its element reads its own flat per-element arrays at ``elem``, as
+    ``lambda n: factor(v[n.elem], shift[n.elem] - k * n.y)`` with v and
+    shift columns.  f returns one value per node of each row, or a value
+    that broadcasts to that; any other shape raises ValueError.  The result
+    has the elements' shape (a float when there are none).
 
     Gamma integrals use a Gauss-Jacobi head that absorbs y^(t-1) at the
     origin, 7/15-point Gauss-Kronrod panels split at the break points and at
@@ -461,12 +454,11 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
     leaves the store with its result once it has converged.  Where the
     caller's abs_tol is below about q.rel_tol * 1e-290, the goal is instead
     a quarter of the bound the result is checked against.  Each round
-    calls f once (more only past a cap on the temporary) with a node array
-    of the elements' shape: each element's new nodes side by side, and a
-    point of the law's support, of no weight, in the slots an element does
-    not use.  Poisson integrals sum a lattice window per element from the pmf bulk past the summand's
-    peak, grown until a geometric tail bound meets the same goal.  Raises
-    QuadratureError when an element's error estimate exceeds
+    calls f once (more only past a cap on the temporary) with the rows of
+    the panels it evaluates.  Poisson integrals sum a lattice window per
+    element from the pmf bulk past the summand's peak, grown until a
+    geometric tail bound meets the same goal.  Raises QuadratureError when
+    an element's value is not finite or its error estimate exceeds
     q.rel_tol * |value| + q.abs_tol.
     """
     t = np.asarray(t, dtype=float)
@@ -476,13 +468,13 @@ def integrate_levy(f: Callable, law: LevyLaw, t,
         points = np.asarray(points, dtype=float)
         points = points.reshape(1) if points.ndim == 0 else points
     shape = t.shape if points is None else np.broadcast_shapes(t.shape, points.shape[:-1])
-    if law.kind == DEGENERATE:
-        return _result(np.broadcast_to(np.asarray(f(np.zeros(1)), dtype=float), shape + (1,))[..., 0])
 
     def goal(val, mag):
         return REQUEST_MARGIN * np.minimum(q.rel_tol * (mag + UNDERFLOW), q.rel_tol * np.abs(val) + q.abs_tol)
 
-    if law.kind == GAMMA:
+    if law.kind == DEGENERATE:
+        val, err = _values(f, np.zeros(1), np.arange(math.prod(shape))).reshape(shape), 0.0
+    elif law.kind == GAMMA:
         val, err = _refine(f, _gamma_panels(t, points, shape), shape, goal)
     elif law.kind == POISSON:
         val, err = _poisson_sum(f, law.rate * t, shape, points, goal)
@@ -500,12 +492,13 @@ def integrate_panels(f: Callable, breaks, q: Quadrature, args=()):
     when there are none).  f returns one value per node.  Every element
     starts with one panel per gap between consecutive break points, and the
     panels live in one flat store of (element, panel) entries.  Each round,
-    the first included, calls f with the entries' nodes as rows of 15 and
-    each argument at their elements as a column, then bisects the panels of
+    the first included, calls f with the live entries' nodes as rows of 15
+    and each argument at their elements as a column, then bisects the panels of
     the elements whose error estimate is above the goal, a quarter of
     q.rel_tol * |value| + q.abs_tol; an element leaves the store with its
-    result once it has converged.  Raises QuadratureError above the full
-    amount, and ValueError unless the break points are finite and ascend.
+    result once it has converged.  Raises QuadratureError where a value is
+    not finite or its estimate exceeds the full amount, and ValueError
+    unless the break points are finite and ascend.
     """
     breaks = np.asarray(breaks, dtype=float)
     if not (np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) >= 0.0)):
@@ -514,15 +507,16 @@ def integrate_panels(f: Callable, breaks, q: Quadrature, args=()):
     def goal(val, mag):
         return REQUEST_MARGIN * (q.rel_tol * np.abs(val) + q.abs_tol)
 
-    def values(x, *a):  # one value per element and node, however few of them f's value depends on
-        shape = np.broadcast_shapes(x.shape, *(b.shape for b in a))
-        return np.broadcast_to(np.asarray(f(x, *a), dtype=float), shape)
-
     args = tuple(np.asarray(a, dtype=float) for a in args)
     shape = np.broadcast_shapes(*(a.shape for a in args))
+    flat = tuple(np.broadcast_to(a, shape).ravel() for a in args)
+
+    def values(n):  # each argument at the rows' elements, as a column
+        return f(n.y, *(a[n.elem, None] for a in flat))
+
     lo, hi = (np.broadcast_to(b, shape + b.shape) for b in (breaks[:-1], breaks[1:]))
     panels = _Panels.live(None, np.zeros(shape, dtype=int), _LINE, lo, hi, 0.0)
-    val, err = _refine(values, panels, shape, goal, tuple(np.broadcast_to(a, shape).ravel() for a in args))
+    val, err = _refine(values, panels, shape, goal)
     _check(val, err, q, "panel integral")
     return _result(val)
 

@@ -95,7 +95,8 @@ def bridge_levy_density(model: MarketModel, t: float, x, s, h, k: float,
         # a subnormal k sends break points past the float range; integrate_levy drops them
         with np.errstate(over="ignore", invalid="ignore"):
             points = shift[b] / k + (np.sqrt(v[b]) / abs(k)) * GAUSS_BREAKS
-        return integrate_levy(lambda y: factor(v[b], shift[b] - k * y), model.levy, s[b, 0], q, points=points)
+        vb, sb = v[b], shift[b]
+        return integrate_levy(lambda n: factor(vb[n.elem], sb[n.elem] - k * n.y), model.levy, s[b, 0], q, points=points)
 
     dens = in_blocks(block, s.shape[0]).reshape(elems[0].shape)
     return float(dens) if dens.ndim == 0 else dens

@@ -22,7 +22,10 @@ nested-quadrature psi, before its numerator became a product of two
 one-dimensional integrals.  The two K = 0 option cases (the second the
 ray-scan path under a default-time density) and the atom-default option with
 a strike above P(t, T) max h, worth 0, were added from the code that still
-scanned g when every strike-adjusted coefficient has one sign.
+scanned g when every strike-adjusted coefficient has one sign.  The price and
+option of the model with no Levy noise, the point-law branch of the engine,
+and the option on a four-atom payoff were added from the code whose Levy
+integrands got a node array padded to the element with the most panels.
 
 It runs only the cases the table lacks and leaves every existing entry
 byte-identical: a rerun can move an existing entry in its last digits, inside
@@ -55,6 +58,9 @@ MODELS = {
                               "default_law": {"kind": "uniform", "lo": 0.2, "hi": 0.9}},
     "uniform-default-poisson": {**_BASE, "mu": 0.5, "levy": {"kind": "poisson", "lambda": 1.0},
                                 "default_law": {"kind": "uniform", "lo": 0.2, "hi": 0.9}},
+    "none": {**_BASE, "levy": {"kind": "none"}},
+    "gamma-four-atoms": {**_BASE, "payoff": {"support": [0.0, 0.4, 0.7, 1.0], "probs": [0.1, 0.2, 0.3, 0.4]},
+                         "levy": {"kind": "gamma"}},
 }
 # (case name, model, arguments after the command's --model option)
 CASES = [
@@ -78,6 +84,9 @@ CASES = [
     ("option-gamma-K0", "gamma", ["option", "--t", "0.5", "--K", "0"]),
     ("option-exp-default-gamma-K0", "exp-default-gamma", ["option", "--t", "0.5", "--K", "0"]),
     ("option-atom-default-above-hull", "atom-default", ["option", "--t", "0.5", "--K", "1.2"]),
+    ("price-none", "none", ["price", "--t", "0.5", "--x", "0.4"]),
+    ("option-none", "none", ["option", "--t", "0.5", "--K", "0.3"]),
+    ("option-gamma-four-atoms", "gamma-four-atoms", ["option", "--t", "0.5", "--K", "0.3"]),
 ]
 
 

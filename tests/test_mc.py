@@ -123,7 +123,7 @@ def test_histogram_wide_window_recovers_marginal():
 
     def marginal(y):  # y is the array of the histogram's tabulation nodes
         vu = u * (T - u) / T
-        return integrate_levy(lambda w: gauss_density(vu, y[..., None], (u / T) * w), GAMMA,
+        return integrate_levy(lambda n: gauss_density(vu, y.reshape(-1, 1)[n.elem], (u / T) * n.y), GAMMA,
                               np.broadcast_to(T - u, y.shape))
 
     reports = conditional_histogram(b, 0.3, u, 0.0, 100.0, 20, 400_000, 11,

@@ -3,8 +3,9 @@ import pytest
 from scipy import integrate
 from scipy.special import gammaln, pbdv
 
+from levybridge import numerics
 from levybridge.laws import LevyLaw
-from levybridge.numerics import (Quadrature, QuadratureError, gamma_density,
+from levybridge.numerics import (GAUSS_BREAKS, Quadrature, QuadratureError, gamma_density,
                                  gauss_density, integrate_levy, integrate_panels,
                                  parabolic_cylinder_D,
                                  parabolic_cylinder_log_D, poisson_pmf,
@@ -30,7 +31,7 @@ def test_gamma_density():
     assert gamma_density(0.5, 0.0) == 0.0
     one = gamma_density(1.7, 2.5)
     assert type(one) is float and one == gamma_density(1.7, np.array([2.5]))[0]
-    mean = integrate_levy(lambda y: y, GAMMA, 0.7)
+    mean = integrate_levy(lambda n: n.y, GAMMA, 0.7)
     assert mean == pytest.approx(0.7, rel=1e-8)
 
 
@@ -46,21 +47,21 @@ def test_poisson_pmf():
 
 @pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
 def test_integrate_levy_constant(law):
-    assert integrate_levy(lambda y: 1.0, law, 0.6) == pytest.approx(1.0, rel=1e-9)
+    assert integrate_levy(lambda n: 1.0, law, 0.6) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_integrate_levy_means():
-    assert integrate_levy(lambda y: y, GAMMA, 0.35) == pytest.approx(0.35, rel=1e-8)
-    assert integrate_levy(lambda y: y, POIS, 2.0) == pytest.approx(2.0, rel=1e-8)
+    assert integrate_levy(lambda n: n.y, GAMMA, 0.35) == pytest.approx(0.35, rel=1e-8)
+    assert integrate_levy(lambda n: n.y, POIS, 2.0) == pytest.approx(2.0, rel=1e-8)
     lam3 = LevyLaw.poisson(3.0)
-    assert integrate_levy(lambda y: y, lam3, 0.5) == pytest.approx(1.5, rel=1e-8)
-    assert integrate_levy(lambda y: y, LevyLaw.degenerate(), 1.0) == 0.0
+    assert integrate_levy(lambda n: n.y, lam3, 0.5) == pytest.approx(1.5, rel=1e-8)
+    assert integrate_levy(lambda n: n.y, LevyLaw.degenerate(), 1.0) == 0.0
 
 
 def test_integrate_levy_second_moment_gamma():
     # E[X_t^2] = t + t^2 for the standard gamma subordinator
     t = 0.8
-    val = integrate_levy(lambda y: y * y, GAMMA, t)
+    val = integrate_levy(lambda n: n.y * n.y, GAMMA, t)
     assert val == pytest.approx(t + t * t, rel=1e-8)
 
 
@@ -68,7 +69,7 @@ def test_integrate_levy_rejects_bad_time():
     for law in (GAMMA, POIS):
         for t in (0.0, np.inf, np.array([0.5, np.inf])):
             with pytest.raises(ValueError, match="time must be positive and finite"):
-                integrate_levy(lambda y: 1.0, law, t)
+                integrate_levy(lambda n: 1.0, law, t)
 
 
 def test_quadrature_spec_validation():
@@ -134,7 +135,7 @@ def test_power_gauss_integral_against_quad():
 def test_poisson_series_tail_rule():
     # heavy-tailed f still converges and hits the analytic value
     lam20 = LevyLaw.poisson(20.0)
-    val = integrate_levy(lambda n: n * n, lam20, 1.0)
+    val = integrate_levy(lambda n: n.y * n.y, lam20, 1.0)
     assert val == pytest.approx(20.0 + 400.0, rel=1e-8)
 
 
@@ -142,9 +143,9 @@ def test_integrate_levy_unresolved_integrand_raises():
     # a gamma integrand oscillating faster than the panel cap resolves, and a Poisson summand whose peak lies
     # past the lattice cap
     with pytest.raises(QuadratureError):
-        integrate_levy(lambda y: np.sin(1e8 * y), GAMMA, 0.5)
+        integrate_levy(lambda n: np.sin(1e8 * n.y), GAMMA, 0.5)
     with pytest.raises(QuadratureError):
-        integrate_levy(lambda n: np.exp(0.01 * (n - 5e6)), POIS, 5e6)
+        integrate_levy(lambda n: np.exp(0.01 * (n.y - 5e6)), POIS, 5e6)
 
 
 def test_quadrature_rejects_rel_tol_below_the_roundoff_floor():
@@ -155,18 +156,18 @@ def test_quadrature_rejects_rel_tol_below_the_roundoff_floor():
     with pytest.raises(ValueError, match="roundoff floor"):
         Quadrature(rel_tol=floor * (1.0 - 1e-12))
     assert Quadrature(rel_tol=floor).rel_tol == floor
-    assert integrate_levy(lambda y: np.exp(-y), GAMMA, 0.5, Quadrature(rel_tol=floor)) == pytest.approx(2.0 ** -0.5,
-                                                                                                        rel=1e-13)
+    assert integrate_levy(lambda n: np.exp(-n.y), GAMMA, 0.5, Quadrature(rel_tol=floor)) == pytest.approx(2.0 ** -0.5,
+                                                                                                          rel=1e-13)
 
 
 @pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
 def test_integrate_levy_one_integral_per_element(law):
     centres = np.array([[-1.0, 0.5], [2.0, 7.5]])
-    vals = integrate_levy(lambda y: gauss_density(0.3, centres[..., None], y), law, 0.7,
+    vals = integrate_levy(lambda n: gauss_density(0.3, centres.reshape(-1, 1)[n.elem], n.y), law, 0.7,
                           points=centres[..., None] + np.array([-3.0, 0.0, 3.0]))
     assert vals.shape == centres.shape
     for c, v in zip(centres.ravel(), vals.ravel()):
-        single = integrate_levy(lambda y: gauss_density(0.3, c, y), law, 0.7, points=c + np.array([-3.0, 0.0, 3.0]))
+        single = integrate_levy(lambda n: gauss_density(0.3, c, n.y), law, 0.7, points=c + np.array([-3.0, 0.0, 3.0]))
         assert isinstance(single, float)
         assert v == single
 
@@ -180,35 +181,83 @@ def test_integrate_levy_law_time_per_element(law):
     for var, centre, times, pts in [(np.full(centres.shape, 0.3), centres, np.array([[1e-14, 0.02], [0.7, 3.0]]),
                                      centres[..., None] + np.array([-3.0, 0.0, 3.0])),
                                     (*narrow[:2], 0.7, narrow[2]), (*narrow[:2], np.array([0.7, 3.0]), narrow[2])]:
-        vals = integrate_levy(lambda y: gauss_density(var[..., None], centre[..., None], y), law, times, points=pts)
+        vals = integrate_levy(lambda n: gauss_density(var.reshape(-1, 1)[n.elem], centre.reshape(-1, 1)[n.elem], n.y),
+                              law, times, points=pts)
         assert vals.shape == centre.shape
         for v, c, t, pt, val in zip(var.ravel(), centre.ravel(), np.broadcast_to(times, centre.shape).ravel(),
                                     pts.reshape(-1, 3), vals.ravel()):
-            assert val == integrate_levy(lambda y: gauss_density(v, c, y), law, t, points=pt)
+            assert val == integrate_levy(lambda n: gauss_density(v, c, n.y), law, t, points=pt)
 
 
 @pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
 def test_integrate_levy_no_elements(law):
     centres = np.zeros((0,))
-    vals = integrate_levy(lambda y: gauss_density(0.3, centres[..., None], y), law, 0.7,
+    vals = integrate_levy(lambda n: gauss_density(0.3, centres.reshape(-1, 1)[n.elem], n.y), law, 0.7,
                           points=centres[..., None] + np.array([-3.0, 0.0, 3.0]))
     assert vals.shape == (0,)
 
 
 @pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
 def test_integrate_levy_rejects_undeclared_elements(law):
-    # the elements are t and points without its last axis; an integrand may not add axes of its own
+    # the elements are t and points without its last axis; an integrand may not add axes of its own: f returns
+    # such an output, and the engine, not f, raises
     centres = np.array([-1.0, 0.5, 2.0])
+    seen = []
 
-    def f(y):
-        return gauss_density(0.3, centres[..., None], y)
+    def f(n):
+        out = gauss_density(0.3, centres[:, None, None], n.y)
+        seen.append(out.ndim)
+        return out
 
-    with pytest.raises(ValueError):
-        integrate_levy(f, law, 0.7)
-    with pytest.raises(ValueError):
-        integrate_levy(f, law, np.full(2, 0.7))
-    with pytest.raises(ValueError):
-        integrate_levy(f, law, 0.7, points=np.array([[-1.0, 0.0, 1.0], [1.0, 2.0, 3.0]]))
+    for t, points in [(0.7, None), (np.full(2, 0.7), None), (0.7, np.array([[-1.0, 0.0, 1.0], [1.0, 2.0, 3.0]]))]:
+        seen.clear()
+        with pytest.raises(ValueError):
+            integrate_levy(f, law, t, points=points)
+        assert seen == [3]  # one call, whose output has an axis besides the rows' and the nodes'
+
+
+def test_integrate_levy_integrand_sees_only_live_rows(monkeypatch):
+    # a wide Gaussian that converges in the first round beside a narrow one that keeps splitting: every later
+    # round hands f only the narrow element's rows, and f sees 15 nodes per panel evaluated, no padding
+    var, centre = np.array([1.0, 1e-4]), np.array([0.5, 3.0])
+    pts = np.stack([centre[0] + GAUSS_BREAKS, np.linspace(0.9, 5.1, 9)])
+    calls, panels = [], []
+    nodes = numerics._Panels.nodes
+    monkeypatch.setattr(numerics._Panels, "nodes", lambda p: panels.append(p.elem.size) or nodes(p))
+
+    def f(n):
+        calls.append((n.y.shape, n.elem.copy()))
+        return gauss_density(var[n.elem, None], centre[n.elem, None], n.y)
+
+    integrate_levy(f, GAMMA, 0.7, points=pts)
+    assert len(calls) > 2 and set(calls[0][1]) == {0, 1}
+    assert all(np.all(elem == 1) for _, elem in calls[1:])
+    assert all(shape == (elem.size, 15) for shape, elem in calls)
+    assert sum(np.prod(shape) for shape, _ in calls) == 15 * sum(panels)
+
+
+def test_integrate_levy_poisson_rows_are_lattice_rows():
+    # a lattice row is one row shared by every element, in order; the tail check gets one row per element
+    var, centre = np.array([0.3, 0.01]), np.array([0.5, 30.0])
+    calls = []
+
+    def f(n):
+        calls.append((n.y.copy(), n.elem.copy()))
+        return gauss_density(var[n.elem, None], centre[n.elem, None], n.y)
+
+    integrate_levy(f, LevyLaw.poisson(20.0), 1.0, points=centre[:, None] + np.array([-1.0, 0.0, 1.0]))
+    assert all(elem.tolist() == [0, 1] for _, elem in calls)
+    shared = [y for y, _ in calls if y.ndim == 1]
+    assert shared and all(np.array_equal(y, np.arange(y[0], y[0] + y.size)) for y in shared)
+    assert all(y.shape == (2, 2) for y, _ in calls if y.ndim != 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("law", [GAMMA, POIS, LevyLaw.degenerate()])
+def test_integrate_levy_value_not_finite_raises(law, bad):
+    # every law raises, the point law too, whose error estimate of 0 must not let +inf through the tolerance check
+    with pytest.raises(QuadratureError):
+        integrate_levy(lambda n: bad, law, 0.5)
 
 
 def test_integrate_panels_one_integral_per_element():
@@ -263,4 +312,4 @@ def test_no_overflow_warning_on_finite_inputs():
 
 def test_gamma_law_time_below_1e_15():
     # X_a with a = 1e-16 is almost surely within 1e-12 of 0, so the integral is 1 to 1e-12
-    assert integrate_levy(lambda y: np.exp(-y * y), GAMMA, 1e-16) == pytest.approx(1.0, abs=1e-12)
+    assert integrate_levy(lambda n: np.exp(-n.y * n.y), GAMMA, 1e-16) == pytest.approx(1.0, abs=1e-12)

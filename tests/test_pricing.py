@@ -11,7 +11,7 @@ from scipy import integrate
 from levybridge import default_pricing, numerics, pricing
 from levybridge.laws import DefaultTimeLaw, LevyLaw, PayoffDistribution
 from levybridge.model import MarketModel, RateCurve
-from levybridge.numerics import DEFAULT_QUADRATURE, gauss_density, integrate_levy, poisson_pmf
+from levybridge.numerics import DEFAULT_QUADRATURE, QuadratureError, gauss_density, integrate_levy, poisson_pmf
 from levybridge.pricing import (PriceQuote, bayes_posterior, binary_bond_price,
                                 bond_price, bridge_levy_density, gamma_closed_form_price,
                                 likelihood_q, option_value,
@@ -379,6 +379,17 @@ def test_psi_rejects_bad_order():
     for (t, u) in ((0.6, 0.3), (0.0, 0.5), (0.4, 1.0), (0.2, 0.2)):
         with pytest.raises(ValueError):
             transition_density_psi(m, t, u, 0.4, 0.1)
+
+
+@pytest.mark.parametrize("levy", [GAMMA, POIS, LevyLaw.degenerate()], ids=["gamma", "poisson", "none"])
+def test_nan_observation_raises_under_every_noise_law(levy):
+    # a nan observation raises under every noise law, the point law of a model without Levy noise too
+    m = _model(levy=levy)
+    with pytest.raises(QuadratureError):
+        likelihood_q(m, 0.3, 1.0, np.nan)
+    for x, y in [(np.nan, 0.5), (0.4, np.nan)]:
+        with pytest.raises(QuadratureError):
+            transition_density_psi(m, 0.3, 0.6, x, y)
 
 
 @pytest.mark.parametrize("levy", [GAMMA, POIS], ids=["gamma", "poisson"])
